@@ -64,11 +64,8 @@ use crate::schema::{lower_name, IndexDef, Schema};
 use crate::sql::ast::{DeleteStmt, InsertStmt, SelectStmt, Statement, UpdateStmt};
 use crate::sql::parser::parse;
 use crate::stats::{OpStats, SharedStats};
-use crate::storage::{
-    BlockDevice, BufferPool, FsBlockDevice, PageStore, PagedConfig, PagedEngine,
-};
 use crate::table::Table;
-use crate::tuple::{Row, RowId};
+use crate::tuple::Row;
 use crate::txn::{LockManager, LockMode, TxnManager, UndoRecord};
 use crate::value::Value;
 use crate::wal::{LogRecord, TableSnapshot, TxnId, Wal};
@@ -269,12 +266,6 @@ struct Control {
     wal: Wal,
     locks: LockManager,
     txns: TxnManager,
-    /// The paged storage engine, present only for databases opened through
-    /// [`Database::open_paged`]. Lives beside the WAL so commit can borrow
-    /// both at once: applying a commit to pages may evict frames, and the
-    /// eviction's write-back must be able to flush the WAL first
-    /// (WAL-before-data).
-    paged: Option<PagedEngine>,
 }
 
 /// An embedded relational database.
@@ -358,20 +349,20 @@ impl Database {
         let sw = Stopwatch::start();
         let failpoints = Arc::new(Failpoints::new());
         let mut local = OpStats::default();
-        let wal = Wal::open_device(device, policy, Arc::clone(&failpoints), &mut local)?;
-        let catalog = wal.recover()?;
+        let (wal, recovered) =
+            Wal::open_device(device, policy, Arc::clone(&failpoints), &mut local)?;
         let db = Database {
             failpoints,
             ..Database::default()
         };
-        *db.catalog.write() = catalog;
-        let wal_records = wal.len();
+        *db.catalog.write() = recovered.tables;
+        let wal_records = recovered.records;
         {
             let mut ctl = db.ctl.lock();
             // New transactions must not reuse ids already in the log: a
             // colliding Commit record from a previous run would make this
             // run's uncommitted changes look committed at the next recovery.
-            ctl.txns.advance_past(wal.max_txn_id());
+            ctl.txns.advance_past(recovered.max_txn_id);
             ctl.wal = wal;
             ctl.wal.set_obs(Arc::clone(&db.obs));
         }
@@ -385,276 +376,6 @@ impl Database {
         );
         db.stats.record(&local);
         Ok(db)
-    }
-
-    /// Opens a paged database rooted at `path`: committed rows live in a
-    /// checksummed page file behind a buffer pool, so the dataset is no
-    /// longer bounded by what the WAL can replay. Three sibling files are
-    /// used: `{path}.wal`, `{path}.pages` and `{path}.journal` (the
-    /// doublewrite journal that makes page writes atomic). Commits fsync on
-    /// every commit ([`DurabilityPolicy::Always`]).
-    ///
-    /// Paged storage is opt-in: [`Database::new`] remains purely in-memory
-    /// and its execution path is untouched. See the crate-level "Paged
-    /// storage" docs for the recovery contract.
-    pub fn open_paged(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        Self::open_paged_with(path, DurabilityPolicy::Always, PagedConfig::default())
-    }
-
-    /// As [`Database::open_paged`], with an explicit fsync policy and
-    /// page-store configuration.
-    pub fn open_paged_with(
-        path: impl AsRef<std::path::Path>,
-        policy: DurabilityPolicy,
-        config: PagedConfig,
-    ) -> Result<Self> {
-        let base = path.as_ref().as_os_str().to_os_string();
-        let mut wal_path = base.clone();
-        wal_path.push(".wal");
-        let mut pages_path = base.clone();
-        pages_path.push(".pages");
-        let mut journal_path = base;
-        journal_path.push(".journal");
-        Self::open_paged_with_devices(
-            Box::new(FsDevice::open(wal_path)?),
-            Box::new(FsBlockDevice::open(pages_path)?),
-            Box::new(FsDevice::open(journal_path)?),
-            policy,
-            config,
-        )
-    }
-
-    /// Opens a paged database over arbitrary devices — the seam crash tests
-    /// use to run real page-aware recovery against deterministic in-memory
-    /// devices ([`crate::MemDevice`] / [`crate::MemBlockDevice`]).
-    ///
-    /// Recovery order: the WAL segment is decoded (torn tail truncated),
-    /// the page store replays any pending doublewrite journal and verifies
-    /// checksums, and then one of two paths runs:
-    ///
-    /// * **Page file authoritative** (the normal paged reopen): the heaps
-    ///   are loaded from pages and only the committed WAL suffix past the
-    ///   last checkpoint is replayed on top — recovery cost is proportional
-    ///   to the suffix, not the dataset.
-    /// * **WAL authoritative** (fresh page file, or a legacy log whose last
-    ///   checkpoint still carries full rows): the catalog is rebuilt from
-    ///   the WAL exactly as [`Database::open_with_device`] would, and the
-    ///   page file is (re)seeded from it.
-    pub fn open_paged_with_devices(
-        wal_device: Box<dyn LogDevice>,
-        page_device: Box<dyn BlockDevice>,
-        journal_device: Box<dyn LogDevice>,
-        policy: DurabilityPolicy,
-        config: PagedConfig,
-    ) -> Result<Self> {
-        config.validate()?;
-        let sw = Stopwatch::start();
-        let failpoints = Arc::new(Failpoints::new());
-        let mut local = OpStats::default();
-        let mut wal = Wal::open_device(wal_device, policy, Arc::clone(&failpoints), &mut local)?;
-        let store = PageStore::open(
-            page_device,
-            journal_device,
-            Arc::clone(&failpoints),
-            config.page_size,
-        )?;
-        let fresh = store.page_count() <= 1; // only the meta page
-        let mut engine = PagedEngine::new(BufferPool::new(store, config.pool_pages));
-
-        // A legacy log (pre-paged, or a `open_durable` WAL being upgraded)
-        // carries full rows in its last checkpoint; such a log is the
-        // authority and the page file is rebuilt from it. Paged-mode
-        // checkpoints carry schemas only.
-        let legacy_checkpoint = wal
-            .records()
-            .filter_map(|(_, r)| match r {
-                LogRecord::Checkpoint { snapshot } => {
-                    Some(snapshot.iter().any(|s| !s.rows.is_empty()))
-                }
-                _ => None,
-            })
-            .last()
-            .unwrap_or(false);
-
-        let catalog = if fresh || legacy_checkpoint {
-            let catalog = wal.recover()?;
-            if !fresh {
-                engine.clear_all(&mut wal, &mut local)?;
-            }
-            let mut scratch = OpStats::default();
-            for (name, table) in &catalog {
-                engine.create_table(name);
-                for r in table.scan(Snapshot::latest(), &mut scratch) {
-                    engine.upsert(name, r.id, r.row, &mut wal, &mut local)?;
-                }
-            }
-            catalog
-        } else {
-            let loaded = engine.load(&mut wal, &mut local)?;
-            Self::paged_recover(&mut wal, loaded, &mut engine, &mut local)?
-        };
-
-        let db = Database {
-            failpoints,
-            ..Database::default()
-        };
-        *db.catalog.write() = catalog;
-        let wal_records = wal.len();
-        {
-            let mut ctl = db.ctl.lock();
-            ctl.txns.advance_past(wal.max_txn_id());
-            ctl.wal = wal;
-            ctl.wal.set_obs(Arc::clone(&db.obs));
-            ctl.paged = Some(engine);
-        }
-        db.obs.events.record_span(
-            "recovery",
-            format!(
-                "paged recovery: {wal_records} retained WAL record(s), {} page read(s)",
-                local.pages_read
-            ),
-            sw,
-        );
-        db.stats.record(&local);
-        Ok(db)
-    }
-
-    /// Page-aware recovery: rebuilds the catalog from the last checkpoint's
-    /// schemas plus the rows loaded from the page file, then replays the
-    /// committed WAL suffix into both the catalog and the page heaps.
-    ///
-    /// The replay is idempotent on both sides (the page file may already
-    /// hold any prefix of the suffix's effects — evictions flush pages
-    /// independently of checkpoints), so re-applying an already-applied
-    /// change is harmless and the end state is exactly the committed prefix.
-    fn paged_recover(
-        wal: &mut Wal,
-        mut loaded: std::collections::BTreeMap<String, Vec<(RowId, Row)>>,
-        engine: &mut PagedEngine,
-        local: &mut OpStats,
-    ) -> Result<Catalog> {
-        // Pass 1 over the retained log: the committed set, the last
-        // checkpoint's schemas, and the record suffix past that checkpoint.
-        // Cloned out so the replay below can borrow the WAL mutably (page
-        // write-backs flush it first).
-        let mut committed = std::collections::HashSet::new();
-        let mut schemas: Vec<Schema> = Vec::new();
-        let mut suffix: Vec<LogRecord> = Vec::new();
-        for (_, rec) in wal.records() {
-            match rec {
-                LogRecord::Commit { txn } => {
-                    committed.insert(*txn);
-                    suffix.push(rec.clone());
-                }
-                LogRecord::Checkpoint { snapshot } => {
-                    schemas = snapshot.iter().map(|s| s.schema.clone()).collect();
-                    suffix.clear();
-                }
-                _ => suffix.push(rec.clone()),
-            }
-        }
-
-        let mut scratch = OpStats::default();
-        let mut tables: Catalog = Catalog::new();
-        for schema in schemas {
-            let name = schema.name.clone();
-            let mut table = Table::new(schema)?;
-            engine.create_table(&name);
-            if let Some(rows) = loaded.remove(&name) {
-                for (id, row) in rows {
-                    table.insert_with_id(id, row, &mut scratch)?;
-                }
-            }
-            tables.insert(name, table);
-        }
-        for rec in &suffix {
-            let Some(txn) = rec.txn() else { continue };
-            if !committed.contains(&txn) {
-                continue;
-            }
-            Self::paged_redo(rec, &mut tables, &mut loaded, engine, wal, local, &mut scratch)?;
-        }
-        // Page tables with no schema anywhere in the log were dropped after
-        // their last flush: release their pages.
-        for name in loaded.keys().cloned().collect::<Vec<_>>() {
-            if !tables.contains_key(&name) {
-                engine.drop_table(&name, wal, local)?;
-            }
-        }
-        Ok(tables)
-    }
-
-    /// Replays one committed suffix record into the catalog and the page
-    /// heaps, idempotently (see [`Database::paged_recover`]).
-    #[allow(clippy::too_many_arguments)]
-    fn paged_redo(
-        rec: &LogRecord,
-        tables: &mut Catalog,
-        loaded: &mut std::collections::BTreeMap<String, Vec<(RowId, Row)>>,
-        engine: &mut PagedEngine,
-        wal: &mut Wal,
-        local: &mut OpStats,
-        scratch: &mut OpStats,
-    ) -> Result<()> {
-        match rec {
-            LogRecord::CreateTable { schema, .. } => {
-                let name = schema.name.clone();
-                engine.create_table(&name);
-                let mut table = Table::new(schema.clone())?;
-                // The table may have been created (and flushed) after the
-                // checkpoint: adopt whatever rows its pages already held.
-                if let Some(rows) = loaded.remove(&name) {
-                    for (id, row) in rows {
-                        table.insert_with_id(id, row, scratch)?;
-                    }
-                }
-                tables.insert(name, table);
-            }
-            LogRecord::DropTable { table, .. } => {
-                tables.remove(table);
-                loaded.remove(table);
-                engine.drop_table(table, wal, local)?;
-            }
-            LogRecord::Insert {
-                table, row_id, row, ..
-            } => {
-                let t = tables
-                    .get_mut(table)
-                    .ok_or_else(|| Error::Wal(format!("insert into unknown table {table}")))?;
-                t.restore(*row_id, row.clone())?;
-                engine.upsert(table, *row_id, row, wal, local)?;
-            }
-            LogRecord::Update {
-                table,
-                row_id,
-                after,
-                ..
-            } => {
-                let t = tables
-                    .get_mut(table)
-                    .ok_or_else(|| Error::Wal(format!("update of unknown table {table}")))?;
-                t.restore(*row_id, after.clone())?;
-                engine.upsert(table, *row_id, after, wal, local)?;
-            }
-            LogRecord::Delete { table, row_id, .. } => {
-                if let Some(t) = tables.get_mut(table) {
-                    if t.get(*row_id).is_some() {
-                        t.remove_physical(*row_id, scratch)?;
-                    }
-                }
-                engine.remove(table, *row_id, wal, local)?;
-            }
-            LogRecord::Batch { changes, .. } => {
-                for change in changes {
-                    Self::paged_redo(change, tables, loaded, engine, wal, local, scratch)?;
-                }
-            }
-            LogRecord::Begin { .. }
-            | LogRecord::Commit { .. }
-            | LogRecord::Abort { .. }
-            | LogRecord::Checkpoint { .. } => {}
-        }
-        Ok(())
     }
 
     /// Reconstructs a database from a write-ahead log, as after a crash.
@@ -677,11 +398,13 @@ impl Database {
         Ok(db)
     }
 
-    /// Returns a copy of the current write-ahead log (what a crash would find
-    /// on disk). Used by recovery tests and failure-injection experiments.
-    /// The copy is always in-memory: it never owns the durable device.
-    pub fn snapshot_wal(&self) -> Wal {
-        self.ctl.lock().wal.clone()
+    /// Returns an in-memory copy of the write-ahead log as a crash right now
+    /// would find it: for a durable database, the records decoded from the
+    /// log device, so commits the [`DurabilityPolicy`] has not yet synced are
+    /// absent. Used by recovery tests and failure-injection experiments.
+    /// Fails with [`Error::Corruption`] if the device holds a damaged record.
+    pub fn snapshot_wal(&self) -> Result<Wal> {
+        self.ctl.lock().wal.snapshot()
     }
 
     // --- durability -----------------------------------------------------------
@@ -717,32 +440,6 @@ impl Database {
         &self.failpoints
     }
 
-    /// True when this database stores committed rows in a page file
-    /// (opened through [`Database::open_paged`] and friends).
-    pub fn is_paged(&self) -> bool {
-        self.ctl.lock().paged.is_some()
-    }
-
-    /// The bytes a crash right now would leave in the page file — the
-    /// post-mortem view paged crash tests reopen from. [`Error::Wal`] for
-    /// databases without a page store.
-    pub fn durable_page_bytes(&self) -> Result<Vec<u8>> {
-        match self.ctl.lock().paged.as_mut() {
-            Some(p) => p.pool().store().durable_page_bytes(),
-            None => Err(Error::Wal("database has no page store".into())),
-        }
-    }
-
-    /// The bytes a crash right now would leave in the doublewrite journal
-    /// (empty outside a page-write window). [`Error::Wal`] for databases
-    /// without a page store.
-    pub fn durable_journal_bytes(&self) -> Result<Vec<u8>> {
-        match self.ctl.lock().paged.as_mut() {
-            Some(p) => p.pool().store().durable_journal_bytes(),
-            None => Err(Error::Wal("database has no page store".into())),
-        }
-    }
-
     /// Cumulative operation statistics.
     pub fn stats(&self) -> OpStats {
         self.stats.snapshot()
@@ -776,7 +473,8 @@ impl Database {
         self.catalog.read().values().map(Table::approx_size).sum()
     }
 
-    /// Number of records currently retained in the write-ahead log.
+    /// Number of write-ahead log records since the last checkpoint (the
+    /// checkpoint's own snapshot record included).
     pub fn wal_len(&self) -> usize {
         self.ctl.lock().wal.len()
     }
@@ -850,22 +548,11 @@ impl Database {
             let state = ctl.txns.finish_commit(txn)?;
             synced = if state.wal_begun {
                 let sw = Stopwatch::start();
-                // Split borrow: applying the commit to the page heaps may
-                // evict frames, whose write-back must flush this same WAL
-                // first (WAL-before-data).
-                let c = &mut *ctl;
-                c.wal.append(LogRecord::Commit { txn }, local);
-                let forced = match c.paged.as_mut() {
-                    Some(p) => p.apply_commit(txn, &mut c.wal, local),
-                    None => Ok(()),
-                }
-                .and_then(|_| c.wal.commit_sync(local));
+                ctl.wal.append(LogRecord::Commit { txn }, local);
+                let forced = ctl.wal.commit_sync(local);
                 self.obs.histograms.commit.record(sw.elapsed_nanos());
                 forced
             } else {
-                if let Some(p) = ctl.paged.as_mut() {
-                    p.discard(txn);
-                }
                 // Read-only: nothing was logged, nothing needs forcing.
                 Ok(())
             };
@@ -966,9 +653,6 @@ impl Database {
             }
             if state.wal_begun {
                 ctl.wal.append(LogRecord::Abort { txn }, local);
-            }
-            if let Some(p) = ctl.paged.as_mut() {
-                p.discard(txn);
             }
             ctl.locks.release_all(txn);
         }
@@ -1897,12 +1581,6 @@ impl Database {
         if log.is_empty() {
             return Ok(());
         }
-        // The paged engine buffers every change until commit (no-steal):
-        // captured here, in the single funnel through which row-level
-        // records enter the WAL, applied by `commit`, dropped by rollback.
-        if let Some(paged) = &mut ctl.paged {
-            paged.capture(txn, &log);
-        }
         Self::wal_begin_if_needed(ctl, txn, stats)?;
         if as_batch && log.len() > 1 {
             ctl.wal.append(LogRecord::Batch { txn, changes: log }, stats);
@@ -2521,36 +2199,23 @@ impl Database {
                 )));
             }
             let mut scratch = OpStats::default();
-            let paged = ctl.paged.is_some();
             // No transactions are active, so the latest state is exactly the
             // committed state: the snapshot carries one version per live row.
-            // A paged database snapshots schemas only — the rows already live
-            // in the page file, which `checkpoint_flush` below makes current.
             let snapshot: Vec<TableSnapshot> = catalog
                 .values()
                 .map(|t| TableSnapshot {
                     schema: t.schema.clone(),
-                    rows: if paged {
-                        Vec::new()
-                    } else {
-                        t.scan(Snapshot::latest(), &mut scratch)
-                            .map(|r| (r.id, r.row.clone()))
-                            .collect()
-                    },
+                    rows: t
+                        .scan(Snapshot::latest(), &mut scratch)
+                        .map(|r| (r.id, r.row.clone()))
+                        .collect(),
                 })
                 .collect();
             let mut local = OpStats::default();
             // On a durable log this rotates the segment (write the new one,
             // fsync, atomic rename) before the old records are discarded; a
-            // failure leaves the old log intact and surfaces here. Paged
-            // databases flush every dirty page *first*: once the old records
-            // are gone, the page file is the only copy of the rows.
-            let c = &mut *ctl;
-            let rotated = match c.paged.as_mut() {
-                Some(p) => p.checkpoint_flush(&mut c.wal, &mut local),
-                None => Ok(()),
-            }
-            .and_then(|_| c.wal.checkpoint(snapshot, &mut local));
+            // failure leaves the old log intact and surfaces here.
+            let rotated = ctl.wal.checkpoint(snapshot, &mut local);
             wal_bytes = local.wal_bytes;
             drop(ctl);
             drop(catalog);
@@ -2822,7 +2487,7 @@ mod tests {
         let txn = db.begin();
         db.execute_in(txn, "DELETE FROM jobs").unwrap();
 
-        let wal = db.snapshot_wal();
+        let wal = db.snapshot_wal().unwrap();
         let recovered = Database::recover_from(wal).unwrap();
         assert_eq!(recovered.table_len("jobs").unwrap(), 3);
         let r = recovered.query("SELECT state FROM jobs WHERE job_id = 3").unwrap();
@@ -2837,7 +2502,7 @@ mod tests {
         db.checkpoint().unwrap();
         assert!(db.wal_len() < before);
         db.execute("INSERT INTO jobs (job_id, owner) VALUES (9, 'zoe')").unwrap();
-        let recovered = Database::recover_from(db.snapshot_wal()).unwrap();
+        let recovered = Database::recover_from(db.snapshot_wal().unwrap()).unwrap();
         assert_eq!(recovered.table_len("jobs").unwrap(), 4);
         assert!(db.stats().checkpoints >= 1);
     }
@@ -3009,7 +2674,7 @@ mod tests {
 
         // The rolled-back insert must not survive a checkpoint + recovery.
         assert!(db.checkpoint().unwrap() > 0);
-        let recovered = Database::recover_from(db.snapshot_wal()).unwrap();
+        let recovered = Database::recover_from(db.snapshot_wal().unwrap()).unwrap();
         assert_eq!(recovered.table_len("jobs").unwrap(), 3);
         assert_eq!(
             recovered.count("jobs", Some(&Expr::col_eq("job_id", 8))).unwrap(),
@@ -3043,7 +2708,7 @@ mod tests {
         assert_eq!(d.wal_records, 3, "Begin + Update + Commit");
 
         // Recovery honours the lazily-begun transaction.
-        let recovered = Database::recover_from(db.snapshot_wal()).unwrap();
+        let recovered = Database::recover_from(db.snapshot_wal().unwrap()).unwrap();
         let r = recovered.query("SELECT state FROM jobs WHERE job_id = 1").unwrap();
         assert_eq!(r.first_value("state"), Some(&Value::Text("held".into())));
     }

@@ -240,7 +240,7 @@ pub(crate) fn choose_access_ref<'t>(
     best
 }
 
-/// Owned [`choose_access_ref`] for plans that outlive the catalog borrow
+/// Owned `choose_access_ref` for plans that outlive the catalog borrow
 /// (cached plans, EXPLAIN output).
 pub fn choose_access(table: &Table, filter: Option<&Expr>) -> AccessPlan {
     let (path, est_rows) = choose_access_ref(table, filter);

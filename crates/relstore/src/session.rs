@@ -742,7 +742,7 @@ mod tests {
         batched.check_consistency().unwrap();
 
         // A batched database recovers identically from its WAL.
-        let recovered = Database::recover_from(batched.snapshot_wal()).unwrap();
+        let recovered = Database::recover_from(batched.snapshot_wal().unwrap()).unwrap();
         assert_eq!(recovered.query(q).unwrap(), batched.query(q).unwrap());
     }
 

@@ -153,11 +153,9 @@ struct DurableLog {
     poisoned: Option<Error>,
     /// Commits acknowledged since the last successful sync.
     unsynced_commits: usize,
-    /// True when record bytes have been appended since the last successful
-    /// sync or rotation — the paged engine's WAL-before-data gate
-    /// ([`Wal::is_synced`]) flushes before any page write-back while this
-    /// is set.
-    unsynced: bool,
+    /// Records in the current segment: those recovered at open or written
+    /// by the last checkpoint, plus every append since.
+    records: usize,
     /// The owning database's observability state, attached after open so
     /// every successful device sync lands one sample in the `wal.fsync`
     /// latency histogram.
@@ -179,7 +177,7 @@ impl DurableLog {
             return;
         }
         let bytes = encode_record(record);
-        self.unsynced = true;
+        self.records += 1;
         let result = match self.failpoints.check(points::WAL_APPEND) {
             Some(action) => {
                 stats.failpoints_hit += 1;
@@ -248,7 +246,6 @@ impl DurableLog {
             Ok(()) => {
                 self.note_fsync(sw, stats);
                 self.unsynced_commits = 0;
-                self.unsynced = false;
                 Ok(())
             }
             Err(e) => {
@@ -304,7 +301,7 @@ impl DurableLog {
                 self.note_fsync(sw, stats);
                 stats.wal_segments_rotated += 1;
                 self.unsynced_commits = 0;
-                self.unsynced = false;
+                self.records = 1;
                 Ok(())
             }
             Err(e) => {
@@ -320,29 +317,32 @@ impl DurableLog {
 /// By default the log is in-memory only — the simulated deployment models
 /// durability by the IO cycle cost the application-server cost model charges
 /// per appended byte. A database opened through
-/// [`crate::Database::open_durable`] additionally mirrors every record onto a
+/// [`crate::Database::open_durable`] instead writes every record onto a
 /// [`LogDevice`] as a checksummed binary segment (see [`crate::io`]), from
-/// which [`Wal::open_device`] rebuilds the log after a crash.
+/// which [`Wal::open_device`] rebuilds the database after a crash. A durable
+/// log keeps no in-memory copy of its records: the device is the only one.
 #[derive(Debug, Default)]
 pub struct Wal {
+    /// The retained records of an in-memory log; always empty for a
+    /// durable log.
     records: Vec<(Lsn, LogRecord)>,
     next_lsn: u64,
     total_bytes: u64,
     durable: Option<DurableLog>,
 }
 
-impl Clone for Wal {
-    /// Clones the retained records only: the clone is a mem-only snapshot of
-    /// the log (used by [`crate::Database::snapshot_wal`]) and never owns
-    /// the durable device.
-    fn clone(&self) -> Self {
-        Wal {
-            records: self.records.clone(),
-            next_lsn: self.next_lsn,
-            total_bytes: self.total_bytes,
-            durable: None,
-        }
-    }
+/// What [`Wal::open_device`] found on the device: the committed tables and
+/// the largest transaction id the log mentions.
+#[derive(Debug)]
+pub struct Recovered {
+    /// The tables rebuilt from the last checkpoint plus the committed suffix.
+    pub tables: BTreeMap<String, Table>,
+    /// After recovery the transaction manager must allocate past this, or a
+    /// new transaction could collide with a logged one and make its
+    /// uncommitted changes look committed.
+    pub max_txn_id: u64,
+    /// How many records the device held.
+    pub records: usize,
 }
 
 impl Wal {
@@ -351,50 +351,53 @@ impl Wal {
         Wal::default()
     }
 
-    /// Opens a durable log over `device`, recovering its retained records.
+    /// Opens a durable log over `device` and recovers the state it holds.
     ///
     /// The device's durable contents are scanned with
     /// [`decode_segment`]: a torn tail is truncated off the device (counted
     /// in `stats.recovery_truncated_bytes`), mid-log corruption surfaces as
     /// [`Error::Corruption`]. A fresh device gets a segment header written.
+    /// The decoded records are replayed into [`Recovered`] and then
+    /// dropped; the returned log retains none of them.
     pub fn open_device(
         mut device: Box<dyn LogDevice>,
         policy: DurabilityPolicy,
         failpoints: Arc<Failpoints>,
         stats: &mut OpStats,
-    ) -> Result<Wal> {
+    ) -> Result<(Wal, Recovered)> {
         let bytes = device.durable_contents()?;
         let decoded = decode_segment(&bytes, stats)?;
+        drop(bytes);
         if decoded.valid_len < device.len() {
             device.truncate(decoded.valid_len)?;
         }
         if decoded.valid_len == 0 {
             device.append(&segment_header())?;
         }
-        let mut wal = Wal {
+        let replay = Wal::replay(decoded.records);
+        let recovered = Recovered {
+            tables: replay.recover()?,
+            max_txn_id: replay.max_txn_id(),
+            records: replay.len(),
+        };
+        let wal = Wal {
             records: Vec::new(),
-            next_lsn: 0,
-            total_bytes: 0,
+            next_lsn: replay.next_lsn,
+            total_bytes: replay.total_bytes,
             durable: Some(DurableLog {
                 device,
                 policy,
                 failpoints,
                 poisoned: None,
                 unsynced_commits: 0,
-                unsynced: false,
+                records: recovered.records,
                 obs: None,
             }),
         };
-        // Replaying into the in-memory view is not new appended work; keep
-        // it out of the caller-visible wal_records/wal_bytes counters.
-        let mut scratch = OpStats::default();
-        for record in decoded.records {
-            wal.push_mem(record, &mut scratch);
-        }
-        Ok(wal)
+        Ok((wal, recovered))
     }
 
-    /// True when this log mirrors appends onto a durable device.
+    /// True when this log writes its records to a durable device.
     pub fn is_durable(&self) -> bool {
         self.durable.is_some()
     }
@@ -419,9 +422,10 @@ impl Wal {
     }
 
     /// The largest transaction id mentioned anywhere in the retained
-    /// records. After recovery the transaction manager must allocate past
-    /// this, or a new transaction could collide with a logged one and make
-    /// its uncommitted changes look committed.
+    /// records (a durable log retains none; see [`Recovered::max_txn_id`]).
+    /// After recovery the transaction manager must allocate past this, or a
+    /// new transaction could collide with a logged one and make its
+    /// uncommitted changes look committed.
     pub fn max_txn_id(&self) -> u64 {
         fn walk(rec: &LogRecord) -> u64 {
             let own = rec.txn().map(|t| t.0).unwrap_or(0);
@@ -435,28 +439,60 @@ impl Wal {
         self.records.iter().map(|(_, r)| walk(r)).max().unwrap_or(0)
     }
 
-    fn push_mem(&mut self, record: LogRecord, stats: &mut OpStats) -> Lsn {
+    /// An in-memory copy of the log as a crash right now would find it. For
+    /// an in-memory log that is every retained record; for a durable log it
+    /// is the records decoded from [`Wal::durable_contents`], so appends
+    /// the [`DurabilityPolicy`] has not yet synced are absent. The copy never
+    /// owns the device.
+    pub(crate) fn snapshot(&self) -> Result<Wal> {
+        if self.durable.is_none() {
+            return Ok(Wal {
+                records: self.records.clone(),
+                next_lsn: self.next_lsn,
+                total_bytes: self.total_bytes,
+                durable: None,
+            });
+        }
+        let decoded = decode_segment(&self.durable_contents()?, &mut OpStats::default())?;
+        Ok(Wal::replay(decoded.records))
+    }
+
+    /// An in-memory log holding `records`, as decoded from a device.
+    /// Replaying is not new appended work, so no caller-visible
+    /// `wal_records`/`wal_bytes` counter moves.
+    fn replay(records: Vec<LogRecord>) -> Wal {
+        let mut wal = Wal::new();
+        let mut scratch = OpStats::default();
+        for record in records {
+            wal.append(record, &mut scratch);
+        }
+        wal
+    }
+
+    /// Counts one record into the LSN sequence and the byte totals.
+    fn account(&mut self, record: &LogRecord, stats: &mut OpStats) -> Lsn {
         let lsn = Lsn(self.next_lsn);
         self.next_lsn += 1;
         let size = record.approx_size() as u64;
         self.total_bytes += size;
         stats.wal_records += 1;
         stats.wal_bytes += size;
-        self.records.push((lsn, record));
         lsn
     }
 
     /// Appends a record, returning its LSN.
     ///
-    /// For a durable log the record is also framed and written to the
-    /// device. A device failure does **not** surface here — it poisons the
-    /// writer, and [`Wal::commit_sync`] reports it before the enclosing
-    /// commit can be acknowledged.
+    /// For a durable log the record is framed and written to the device. A
+    /// device failure does **not** surface here — it poisons the writer, and
+    /// [`Wal::commit_sync`] reports it before the enclosing commit can be
+    /// acknowledged.
     pub fn append(&mut self, record: LogRecord, stats: &mut OpStats) -> Lsn {
-        if let Some(d) = &mut self.durable {
-            d.append_record(&record, stats);
+        let lsn = self.account(&record, stats);
+        match &mut self.durable {
+            Some(d) => d.append_record(&record, stats),
+            None => self.records.push((lsn, record)),
         }
-        self.push_mem(record, stats)
+        lsn
     }
 
     /// Called by the database once per commit, after the Commit record is
@@ -479,24 +515,18 @@ impl Wal {
         }
     }
 
-    /// True when every appended record is already durable (always true for
-    /// an in-memory log). The paged engine's WAL-before-data gate: page
-    /// write-back calls [`Wal::flush`] first whenever this is false.
-    pub fn is_synced(&self) -> bool {
-        match &self.durable {
-            Some(d) => !d.unsynced,
-            None => true,
-        }
-    }
-
-    /// Number of records currently retained.
+    /// Number of records since the last checkpoint (that checkpoint
+    /// included).
     pub fn len(&self) -> usize {
-        self.records.len()
+        match &self.durable {
+            Some(d) => d.records,
+            None => self.records.len(),
+        }
     }
 
     /// True when the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
     /// Total bytes ever appended (not reduced by truncation).
@@ -504,19 +534,14 @@ impl Wal {
         self.total_bytes
     }
 
-    /// Iterates over retained records in LSN order.
-    pub fn records(&self) -> impl Iterator<Item = &(Lsn, LogRecord)> {
-        self.records.iter()
-    }
-
     /// Writes a checkpoint record containing `snapshot` and discards all
     /// earlier records. Returns the LSN of the checkpoint.
     ///
     /// On a durable log this is a **segment rotation**: the new segment
     /// (holding just the checkpoint record) is written beside the old one,
-    /// fsynced, and atomically renamed over it *before* the retained records
-    /// are discarded — a crash at any instant finds either the old complete
-    /// log or the new complete snapshot, never neither.
+    /// fsynced, and atomically renamed over it — a crash at any instant
+    /// finds either the old complete log or the new complete snapshot,
+    /// never neither.
     pub fn checkpoint(
         &mut self,
         snapshot: Vec<TableSnapshot>,
@@ -526,18 +551,21 @@ impl Wal {
         if let Some(d) = &mut self.durable {
             d.rotate(&record, stats)?;
         }
-        // Only now, with the new segment durable (or trivially, in memory),
-        // is it safe to drop the old records.
-        self.records.clear();
         stats.checkpoints += 1;
-        // The rotation already wrote the record to the device; mirror it
-        // into the in-memory view only.
-        Ok(self.push_mem(record, stats))
+        let lsn = self.account(&record, stats);
+        if self.durable.is_none() {
+            // Only now, with the snapshot in place, is it safe to drop the
+            // old records.
+            self.records.clear();
+            self.records.push((lsn, record));
+        }
+        Ok(lsn)
     }
 
     /// Rebuilds the full set of tables implied by the retained log records:
     /// the latest checkpoint (if any) plus all *committed* transactions after
     /// it. Changes from unfinished or aborted transactions are discarded.
+    /// A durable log retains no records; [`Wal::open_device`] recovers it.
     ///
     /// Recovery replays through the tables' **physical** operations, so the
     /// rebuilt catalog holds exactly one committed version per live row

@@ -60,7 +60,7 @@ fn condorj2_state_survives_cas_crash_via_wal_recovery() {
     assert!(jobs_before > 0);
 
     // Simulate a CAS/DBMS crash and restart: recover from the log only.
-    let recovered = Database::recover_from(db.snapshot_wal()).unwrap();
+    let recovered = Database::recover_from(db.snapshot_wal().unwrap()).unwrap();
     assert_eq!(recovered.table_len("jobs").unwrap(), jobs_before);
     assert_eq!(recovered.table_len("runs").unwrap(), running_before);
     assert_eq!(recovered.table_len("machines").unwrap(), 8);

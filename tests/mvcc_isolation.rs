@@ -178,7 +178,7 @@ fn vacuum_shrinks_chains_once_the_pinning_snapshot_closes() {
     db.check_consistency().unwrap();
 
     // Recovery from the WAL carries committed versions only.
-    let recovered = Database::recover_from(db.snapshot_wal()).unwrap();
+    let recovered = Database::recover_from(db.snapshot_wal().unwrap()).unwrap();
     assert_eq!(recovered.table_max_chain("pairs").unwrap(), 1);
     let r = recovered.query("SELECT a FROM pairs WHERE id = 0").unwrap();
     assert_eq!(r.first_value("a"), Some(&Value::Int(10)));

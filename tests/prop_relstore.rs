@@ -133,7 +133,7 @@ proptest! {
                 }
             }
         }
-        let recovered = Database::recover_from(db.snapshot_wal()).unwrap();
+        let recovered = Database::recover_from(db.snapshot_wal().unwrap()).unwrap();
         recovered.check_consistency().unwrap();
         let original = db.query("SELECT * FROM jobs ORDER BY job_id").unwrap();
         let replayed = recovered.query("SELECT * FROM jobs ORDER BY job_id").unwrap();
@@ -291,8 +291,8 @@ proptest! {
 
         // The single WAL batch record recovers to the same state the loop's
         // per-row records do.
-        let from_batched = Database::recover_from(batched.snapshot_wal()).unwrap();
-        let from_looped = Database::recover_from(looped.snapshot_wal()).unwrap();
+        let from_batched = Database::recover_from(batched.snapshot_wal().unwrap()).unwrap();
+        let from_looped = Database::recover_from(looped.snapshot_wal().unwrap()).unwrap();
         prop_assert_eq!(from_batched.query(q).unwrap(), from_looped.query(q).unwrap());
     }
 

@@ -1,10 +1,16 @@
-//! Proof that resource governance is free when disarmed: the prepared
-//! point select — the hottest statement shape in the cluster-middleware
-//! workload — through the ungoverned API, through the governed API with
-//! `Governance::NONE` (the disarmed governor: one branch per check), and
-//! through a fully armed governor with generous limits. The first two must
-//! be indistinguishable from the `relstore_ops` `prepared_point_select`
-//! baseline; the third prices what arming actually costs.
+//! What resource governance costs on the prepared point select — the
+//! hottest statement shape in the cluster-middleware workload — along two
+//! distinct paths:
+//!
+//! * `_ungoverned`: the `Database` convenience, which runs with
+//!   `Governance::NONE`. It is the same code path as `relstore_ops`'
+//!   `prepared_point_select` and must be indistinguishable from it.
+//! * `_governed_none` and the `_armed` legs: one long-lived `Session`, the
+//!   surface every governed caller uses. With `Governance::NONE` (a
+//!   disarmed governor, one branch per check) the delta against
+//!   `_ungoverned` is the session's own tax: tuple-style parameter binding
+//!   into an owned `Vec`. Armed with generous limits nothing trips, it
+//!   prices deadline arithmetic, budget counters and row sizing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use relstore::{Database, Governance, Value};
@@ -39,30 +45,25 @@ fn bench_governance(c: &mut Criterion) {
         b.iter(|| db.query_prepared(black_box(&q), black_box(&params)).unwrap())
     });
 
-    // The governed entry point with no limits: arms a disarmed governor,
-    // whose every check is one predictable branch. The delta against the
-    // ungoverned path is the entire disarmed-governance tax.
+    // The session every governed caller goes through, first with no limits:
+    // it arms a disarmed governor, whose every check is one predictable
+    // branch, and binds its parameters into an owned vector.
+    let mut session = db.session();
     c.bench_function("prepared_point_select_governed_none", |b| {
-        b.iter(|| {
-            db.query_prepared_governed(black_box(&q), black_box(&params), &Governance::NONE)
-                .unwrap()
-        })
+        b.iter(|| session.query(black_box(&q), black_box(&params[..])).unwrap())
     });
 
-    // Fully armed with generous limits nothing trips: deadline arithmetic,
-    // budget counters and row sizing all run. This is the worst case a
-    // governed service statement pays.
-    let armed = Governance {
+    // The same session fully armed with generous limits nothing trips:
+    // deadline arithmetic, budget counters and row sizing all run. This is
+    // the worst case a governed service statement pays.
+    session.set_governance(Governance {
         deadline: Some(Duration::from_secs(30)),
         max_rows: Some(1_000_000),
         max_bytes: Some(1 << 30),
         ..Governance::default()
-    };
+    });
     c.bench_function("prepared_point_select_governed_armed", |b| {
-        b.iter(|| {
-            db.query_prepared_governed(black_box(&q), black_box(&params), black_box(&armed))
-                .unwrap()
-        })
+        b.iter(|| session.query(black_box(&q), black_box(&params[..])).unwrap())
     });
 
     // The armed tax on a statement that actually ticks per row: a bounded
@@ -73,7 +74,8 @@ fn bench_governance(c: &mut Criterion) {
     let range_params = [Value::Int(2400), Value::Int(2450)];
     c.bench_function("range_select_governed_armed", |b| {
         b.iter(|| {
-            db.query_prepared_governed(black_box(&range), black_box(&range_params), black_box(&armed))
+            session
+                .query(black_box(&range), black_box(&range_params[..]))
                 .unwrap()
         })
     });

@@ -37,16 +37,30 @@
 //! race-free: any commit that lands after the guard is acquired simply is
 //! not in the snapshot, and its versions are filtered out by visibility.
 //!
+//! # One statement path
+//!
+//! Every statement — from the `Database` conveniences, a
+//! [`Session`](crate::Session), a [`Transaction`](crate::Transaction) or
+//! the wire server — enters through one of three crate-internal entry
+//! points (`execute_with`, `execute_batch_with`, `query_batch_with`), each
+//! taking the transaction to run in (`None` = autocommit) and the
+//! [`Governance`] to run under. The `Database` methods are autocommit,
+//! ungoverned one-liners over them.
+//!
 //! # Resource governance
 //!
-//! Every execution path has a `_governed` variant taking a
-//! [`Governance`]: statement deadlines and cooperative cancellation
-//! (checked every [`crate::govern::DEFAULT_CHECK_INTERVAL`] rows in all
-//! executor loops), row/byte result budgets, and bounded lock waits (a
-//! conflicted writer waits *before* taking the catalog write guard, so
-//! waiting never blocks readers). Abandoned transactions are reclaimed by
-//! [`Database::reap_idle`]. The ungoverned API runs with a disarmed
-//! governor whose per-row cost is a single branch.
+//! Every statement runs under a [`Governance`]: statement deadlines and
+//! cooperative cancellation (checked every
+//! [`crate::govern::DEFAULT_CHECK_INTERVAL`] rows in all executor loops),
+//! row/byte result budgets, and bounded lock waits (a conflicted writer
+//! waits *before* taking the catalog write guard, so waiting never blocks
+//! readers). The `Database` conveniences run with [`Governance::NONE`], a
+//! disarmed governor whose per-row cost is a single branch; to set limits,
+//! open a session with
+//! [`Session::with_governance`](crate::Session::with_governance) — its
+//! limits apply to every statement it runs, including those of the
+//! [`Transaction`](crate::Transaction) guards it opens. Abandoned
+//! transactions are reclaimed by [`Database::reap_idle`].
 
 use crate::error::{Error, Result, TimeoutKind};
 use crate::exec::{
@@ -148,14 +162,21 @@ impl Prepared {
     pub fn profile(&self) -> StmtProfileSnapshot {
         self.profile.snapshot()
     }
+
+    /// Wraps a parsed statement with a fresh profile (labelled `sql`) and
+    /// an empty plan cell.
+    fn new(sql: &str, stmt: Statement) -> Self {
+        Prepared {
+            params: stmt.param_count(),
+            profile: Arc::new(StmtProfile::new(Arc::from(sql), StmtKind::of(&stmt))),
+            stmt: Arc::new(stmt),
+            plan: Arc::default(),
+        }
+    }
 }
 
 /// Default capacity of the per-database LRU statement cache.
 const STMT_CACHE_CAPACITY: usize = 256;
-
-/// What [`Database::cached_parse`] yields: the shared AST, its `?` count,
-/// the statement's execution profile and its plan cache cell.
-type ParsedStmt = (Arc<Statement>, usize, Arc<StmtProfile>, Arc<PlanCell>);
 
 /// An LRU cache of parsed statements keyed by their SQL text.
 ///
@@ -170,17 +191,12 @@ struct StmtCache {
     next_gen: u64,
 }
 
+/// A cached statement. The entry owns the statement's execution profile,
+/// so the profile table is bounded by the cache's LRU, and shares it (and
+/// the plan cell) with every [`Prepared`] handle cloned from it.
 #[derive(Debug)]
 struct CacheEntry {
-    stmt: Arc<Statement>,
-    params: usize,
-    /// The statement's execution profile. Owned by the cache entry so the
-    /// profile table is bounded by the cache's LRU; shared with every
-    /// [`Prepared`] handle for this text.
-    profile: Arc<StmtProfile>,
-    /// The statement's plan cache cell, shared with every [`Prepared`]
-    /// handle for this text.
-    plan: Arc<PlanCell>,
+    prepared: Prepared,
     gen: u64,
 }
 
@@ -196,28 +212,16 @@ impl Default for StmtCache {
 
 impl StmtCache {
     /// Looks up `sql`, refreshing its recency on a hit.
-    fn get(&mut self, sql: &str) -> Option<ParsedStmt> {
+    fn get(&mut self, sql: &str) -> Option<Prepared> {
         let entry = self.entries.get_mut(sql)?;
         entry.gen = self.next_gen;
         self.next_gen += 1;
-        Some((
-            Arc::clone(&entry.stmt),
-            entry.params,
-            Arc::clone(&entry.profile),
-            Arc::clone(&entry.plan),
-        ))
+        Some(entry.prepared.clone())
     }
 
     /// Inserts a parsed statement, evicting the least-recently-used entry
     /// when at capacity. A zero capacity disables caching.
-    fn insert(
-        &mut self,
-        sql: String,
-        stmt: Arc<Statement>,
-        params: usize,
-        profile: Arc<StmtProfile>,
-        plan: Arc<PlanCell>,
-    ) {
+    fn insert(&mut self, sql: String, prepared: Prepared) {
         if self.capacity == 0 {
             return;
         }
@@ -227,13 +231,13 @@ impl StmtCache {
         }
         let gen = self.next_gen;
         self.next_gen += 1;
-        self.entries.insert(sql, CacheEntry { stmt, params, profile, plan, gen });
+        self.entries.insert(sql, CacheEntry { prepared, gen });
     }
 
     /// Snapshots every live entry's execution profile — the rows of
     /// `rel_statements`.
     fn profiles(&self) -> Vec<StmtProfileSnapshot> {
-        self.entries.values().map(|e| e.profile.snapshot()).collect()
+        self.entries.values().map(|e| e.prepared.profile()).collect()
     }
 
     fn evict_lru(&mut self) {
@@ -662,11 +666,15 @@ impl Database {
 
     // --- statement preparation and the statement cache -----------------------
 
-    /// Parses `sql` through the statement cache: a hit returns the shared
-    /// parsed AST without re-lexing, a miss parses outside every lock and
-    /// caches the result. Counted in `cache_hits` / `cache_misses`, and in
-    /// `statements_parsed` only on a miss.
-    pub(crate) fn cached_parse(&self, sql: &str) -> Result<ParsedStmt> {
+    /// Prepares a statement for repeated execution. The SQL may contain `?`
+    /// placeholders, bound positionally by `execute_prepared` /
+    /// `query_prepared`.
+    ///
+    /// Preparation goes through the statement cache: a hit returns the
+    /// shared parsed AST without re-lexing, a miss parses outside every lock
+    /// and caches the result. Counted in `cache_hits` / `cache_misses`, and
+    /// in `statements_parsed` only on a miss.
+    pub fn prepare(&self, sql: &str) -> Result<Prepared> {
         if let Some(hit) = self.stmt_cache.lock().get(sql) {
             self.stats.record(&OpStats {
                 cache_hits: 1,
@@ -680,27 +688,9 @@ impl Database {
             ..Default::default()
         });
         // Parse outside the lock; concurrent sessions keep executing.
-        let stmt = Arc::new(parse(sql)?);
-        let params = stmt.param_count();
-        let profile = Arc::new(StmtProfile::new(Arc::from(sql), StmtKind::of(&stmt)));
-        let plan = Arc::new(PlanCell::default());
-        self.stmt_cache.lock().insert(
-            sql.to_string(),
-            Arc::clone(&stmt),
-            params,
-            Arc::clone(&profile),
-            Arc::clone(&plan),
-        );
-        Ok((stmt, params, profile, plan))
-    }
-
-    /// Prepares a statement for repeated execution. The SQL may contain `?`
-    /// placeholders, bound positionally by `execute_prepared` /
-    /// `query_prepared`. Preparation itself goes through the statement
-    /// cache, so re-preparing the same text is cheap.
-    pub fn prepare(&self, sql: &str) -> Result<Prepared> {
-        let (stmt, params, profile, plan) = self.cached_parse(sql)?;
-        Ok(Prepared { stmt, params, profile, plan })
+        let prepared = Prepared::new(sql, parse(sql)?);
+        self.stmt_cache.lock().insert(sql.to_string(), prepared.clone());
+        Ok(prepared)
     }
 
     /// Snapshots the execution profile of every statement currently in the
@@ -764,41 +754,12 @@ impl Database {
     /// Repeated executions of the same SQL text reuse the cached parse.
     /// Statements with `?` placeholders must go through [`Database::prepare`].
     pub fn execute(&self, sql: &str) -> Result<ExecResult> {
-        self.execute_governed(sql, &Governance::NONE)
+        self.execute_with(None, &self.prepare(sql)?, &[], &Governance::NONE)
     }
 
-    /// As [`Database::execute`], under the per-statement limits declared by
-    /// `gov` (deadline, cancellation token, row/byte budgets, lock-wait
-    /// bound); see [`Governance`].
-    pub fn execute_governed(&self, sql: &str, gov: &Governance) -> Result<ExecResult> {
-        let (stmt, params, profile, plan) = self.cached_parse(sql)?;
-        if params > 0 {
-            return Err(Error::type_err(format!(
-                "statement has {params} parameter(s); use prepare()/execute_prepared()"
-            )));
-        }
-        self.execute_stmt_tracked(&stmt, &[], gov, Some(&profile), Some(&plan))
-    }
-
-    /// Parses and executes one statement inside an explicit transaction.
-    pub fn execute_in(&self, txn: TxnId, sql: &str) -> Result<ExecResult> {
-        self.execute_in_governed(txn, sql, &Governance::NONE)
-    }
-
-    /// As [`Database::execute_in`], under the limits declared by `gov`.
-    pub fn execute_in_governed(
-        &self,
-        txn: TxnId,
-        sql: &str,
-        gov: &Governance,
-    ) -> Result<ExecResult> {
-        let (stmt, params, profile, plan) = self.cached_parse(sql)?;
-        if params > 0 {
-            return Err(Error::type_err(format!(
-                "statement has {params} parameter(s); use prepare()/execute_prepared_in()"
-            )));
-        }
-        self.execute_stmt_in_tracked(txn, &stmt, &[], gov, Some(&profile), Some(&plan))
+    /// Convenience wrapper: executes a SELECT and returns its rows.
+    pub fn query(&self, sql: &str) -> Result<QueryResult> {
+        self.execute(sql)?.query()
     }
 
     /// Executes a prepared statement in autocommit mode with the given
@@ -806,54 +767,12 @@ impl Database {
     /// parameters flow through planning and evaluation as context — the
     /// cached AST is never cloned or rewritten.
     pub fn execute_prepared(&self, prepared: &Prepared, params: &[Value]) -> Result<ExecResult> {
-        self.execute_prepared_governed(prepared, params, &Governance::NONE)
+        self.execute_with(None, prepared, params, &Governance::NONE)
     }
 
-    /// As [`Database::execute_prepared`], under the limits declared by `gov`.
-    pub fn execute_prepared_governed(
-        &self,
-        prepared: &Prepared,
-        params: &[Value],
-        gov: &Governance,
-    ) -> Result<ExecResult> {
-        Self::check_arity(prepared, params)?;
-        self.execute_stmt_tracked(
-            &prepared.stmt,
-            params,
-            gov,
-            Some(&prepared.profile),
-            Some(&prepared.plan),
-        )
-    }
-
-    /// Executes a prepared statement inside an explicit transaction.
-    pub fn execute_prepared_in(
-        &self,
-        txn: TxnId,
-        prepared: &Prepared,
-        params: &[Value],
-    ) -> Result<ExecResult> {
-        self.execute_prepared_in_governed(txn, prepared, params, &Governance::NONE)
-    }
-
-    /// As [`Database::execute_prepared_in`], under the limits declared by
-    /// `gov`.
-    pub fn execute_prepared_in_governed(
-        &self,
-        txn: TxnId,
-        prepared: &Prepared,
-        params: &[Value],
-        gov: &Governance,
-    ) -> Result<ExecResult> {
-        Self::check_arity(prepared, params)?;
-        self.execute_stmt_in_tracked(
-            txn,
-            &prepared.stmt,
-            params,
-            gov,
-            Some(&prepared.profile),
-            Some(&prepared.plan),
-        )
+    /// Executes a prepared SELECT and returns its rows.
+    pub fn query_prepared(&self, prepared: &Prepared, params: &[Value]) -> Result<QueryResult> {
+        self.execute_prepared(prepared, params)?.query()
     }
 
     fn check_arity(prepared: &Prepared, params: &[Value]) -> Result<()> {
@@ -867,100 +786,68 @@ impl Database {
         Ok(())
     }
 
-    /// Executes a prepared SELECT and returns its rows.
-    pub fn query_prepared(&self, prepared: &Prepared, params: &[Value]) -> Result<QueryResult> {
-        self.execute_prepared(prepared, params)?.query()
-    }
-
-    /// Executes an already-parsed statement in autocommit mode.
+    /// The single-statement entry point: runs `prepared` with `params`
+    /// inside `txn`, or in autocommit mode when `txn` is `None`, under the
+    /// limits declared by `gov`. Every statement is stopwatch-timed and
+    /// lands one sample in its kind's latency histogram and in its profile
+    /// via [`Observability::record_statement`].
     ///
-    /// SELECTs take a read-only fast path under the *shared* catalog guard:
-    /// any number of autocommit reads execute in parallel, without opening a
-    /// transaction, registering locks or appending WAL records. Each read
-    /// takes a fresh MVCC snapshot and resolves row visibility against it,
-    /// so it **never fails against in-flight writers** — it simply observes
-    /// the most recently committed state.
-    pub fn execute_stmt(&self, stmt: &Statement) -> Result<ExecResult> {
-        self.execute_stmt_params_governed(stmt, &[], &Governance::NONE)
-    }
-
-    /// Executes an already-parsed statement in autocommit mode under the
-    /// limits declared by `gov` — the entry point the wire server drives.
-    pub fn execute_stmt_params_governed(
+    /// Reads (SELECT, EXPLAIN) run under the *shared* catalog guard against
+    /// an MVCC snapshot and never fail against in-flight writers: in
+    /// autocommit mode a fresh snapshot per statement, inside a transaction
+    /// the one stamped at `begin()` (repeatable reads). Writes hold the
+    /// write guard; in autocommit mode they are wrapped in their own
+    /// begin/commit, rolled back on error. Every in-transaction statement
+    /// refreshes the transaction's idle clock (see [`Database::reap_idle`]).
+    pub(crate) fn execute_with(
         &self,
-        stmt: &Statement,
+        txn: Option<TxnId>,
+        prepared: &Prepared,
         params: &[Value],
         gov: &Governance,
     ) -> Result<ExecResult> {
-        self.execute_stmt_tracked(stmt, params, gov, None, None)
-    }
-
-    /// The autocommit dispatcher: every statement is stopwatch-timed and
-    /// lands one sample in its kind's latency histogram (plus the statement's
-    /// profile, when it was prepared from SQL) via
-    /// [`Observability::record_statement`].
-    fn execute_stmt_tracked(
-        &self,
-        stmt: &Statement,
-        params: &[Value],
-        gov: &Governance,
-        profile: Option<&Arc<StmtProfile>>,
-        plan: Option<&PlanCell>,
-    ) -> Result<ExecResult> {
+        Self::check_arity(prepared, params)?;
+        let (stmt, profile) = (prepared.stmt.as_ref(), &prepared.profile);
         match stmt {
             Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::type_err(
                 "use begin()/commit()/rollback() or a Session for transaction control",
             )),
-            Statement::Select(sel) => {
-                // Snapshot-read fast path. The read guard is taken *before*
-                // the snapshot: a writer that committed after the guard was
-                // acquired is simply absent from the snapshot, and its
-                // versions are filtered out by visibility.
+            Statement::Select(_) | Statement::Explain { .. } => {
                 let sw = Stopwatch::start();
                 let mut governor = Governor::arm(gov);
+                // The read guard is taken *before* the snapshot: a writer
+                // that committed after the guard was acquired is simply
+                // absent from the snapshot, and its versions are filtered
+                // out by visibility.
                 let catalog = self.catalog.read();
-                let snapshot = self.ctl.lock().txns.read_snapshot();
                 let mut local = OpStats {
                     statements_executed: 1,
-                    snapshots_taken: 1,
                     ..Default::default()
                 };
-                let result = self.run_select_planned(
-                    &catalog,
-                    sel,
-                    params,
-                    &snapshot,
-                    &mut local,
-                    &mut governor,
-                    plan,
-                );
-                drop(catalog);
-                if let Err(e) = &result {
-                    Self::attribute_failure(&mut local, e);
-                }
-                let rows = result.as_ref().map_or(0, |q| q.rows.len() as u64);
-                self.finish_statement(StmtKind::Select, sw, rows, profile, &mut local);
-                Ok(ExecResult::Query(result?))
-            }
-            Statement::Explain { analyze, select } => {
-                let sw = Stopwatch::start();
-                let mut governor = Governor::arm(gov);
-                let catalog = self.catalog.read();
-                let snapshot = self.ctl.lock().txns.read_snapshot();
-                let mut local = OpStats {
-                    statements_executed: 1,
-                    snapshots_taken: 1,
-                    ..Default::default()
+                // An inactive transaction fails here, before anything is
+                // counted: the statement never executed.
+                let snapshot = self.read_snapshot(txn, &mut local)?;
+                let result = match stmt {
+                    Statement::Select(sel) => self.run_select_planned(
+                        &catalog,
+                        sel,
+                        params,
+                        &snapshot,
+                        &mut local,
+                        &mut governor,
+                        &prepared.plan,
+                    ),
+                    Statement::Explain { analyze, select } => self.run_explain(
+                        &catalog,
+                        *analyze,
+                        select,
+                        params,
+                        &snapshot,
+                        &mut local,
+                        &mut governor,
+                    ),
+                    _ => unreachable!("outer arm matched only reads"),
                 };
-                let result = self.run_explain(
-                    &catalog,
-                    *analyze,
-                    select,
-                    params,
-                    &snapshot,
-                    &mut local,
-                    &mut governor,
-                );
                 drop(catalog);
                 if let Err(e) = &result {
                     Self::attribute_failure(&mut local, e);
@@ -970,7 +857,14 @@ impl Database {
                 Ok(ExecResult::Query(result?))
             }
             Statement::Analyze(target) => {
+                // ANALYZE refreshes shared planner statistics in place; it is
+                // deliberately non-transactional (never WAL-logged, not
+                // undone by rollback) and ignores any transaction snapshot,
+                // sampling the latest committed state.
                 let sw = Stopwatch::start();
+                if let Some(txn) = txn {
+                    self.ctl.lock().txns.touch(txn);
+                }
                 let mut local = OpStats {
                     statements_executed: 1,
                     ..Default::default()
@@ -981,28 +875,61 @@ impl Database {
                 result.map(ExecResult::Affected)
             }
             _ => {
-                // Autocommit write: one statement-local delta spans begin
-                // through commit, so the slow-query wait breakdown includes
-                // the commit fsync and the shared stats merge happens once.
+                // One statement-local delta spans begin through commit, so
+                // the slow-query wait breakdown includes the commit fsync
+                // and the shared stats merge happens once.
                 let sw = Stopwatch::start();
                 let mut local = OpStats::default();
-                let txn = self.begin_local(&mut local);
-                let result = match self.write_stmt_in(txn, stmt, params, gov, &mut local) {
-                    Ok(result) => self.commit_local(txn, &mut local).map(|()| result),
-                    Err(e) => {
-                        // Roll back best-effort; surface the original error.
-                        // A cancelled or over-budget autocommit write is
-                        // therefore never partially applied.
-                        let _ = self.rollback_impl(txn, None, &mut local);
-                        Err(e)
-                    }
-                };
+                let result = self.in_txn(txn, &mut local, |txn, local| {
+                    self.write_stmt_in(txn, stmt, params, gov, local)
+                });
                 if let Err(e) = &result {
                     Self::attribute_failure(&mut local, e);
                 }
                 let rows = result.as_ref().map_or(0, |r| r.affected() as u64);
                 self.finish_statement(StmtKind::of(stmt), sw, rows, profile, &mut local);
                 result
+            }
+        }
+    }
+
+    /// The snapshot a read resolves against: a fresh one in autocommit mode
+    /// (counted in `snapshots_taken`), else the transaction's begin-time
+    /// snapshot, touching its idle clock.
+    fn read_snapshot(&self, txn: Option<TxnId>, local: &mut OpStats) -> Result<Snapshot> {
+        let mut ctl = self.ctl.lock();
+        match txn {
+            None => {
+                local.snapshots_taken += 1;
+                Ok(ctl.txns.read_snapshot())
+            }
+            Some(txn) => {
+                ctl.txns.touch(txn);
+                ctl.txns.snapshot_of(txn)
+            }
+        }
+    }
+
+    /// Runs a write `body` inside `txn`, or — when `txn` is `None` — inside
+    /// an implicit transaction that commits on success and rolls back on
+    /// error, so a failed, cancelled or over-budget autocommit write is
+    /// never partially applied. Counts into `local`; the caller merges it.
+    fn in_txn<T>(
+        &self,
+        txn: Option<TxnId>,
+        local: &mut OpStats,
+        body: impl FnOnce(TxnId, &mut OpStats) -> Result<T>,
+    ) -> Result<T> {
+        if let Some(txn) = txn {
+            return body(txn, local);
+        }
+        let txn = self.begin_local(local);
+        match body(txn, local) {
+            Ok(result) => self.commit_local(txn, local).map(|()| result),
+            Err(e) => {
+                // Roll back best-effort; surface the original error.
+                let _ = self.rollback_impl(txn, None, local);
+                Err(e)
             }
         }
     }
@@ -1017,41 +944,25 @@ impl Database {
         kind: StmtKind,
         sw: Stopwatch,
         rows: u64,
-        profile: Option<&Arc<StmtProfile>>,
+        profile: &Arc<StmtProfile>,
         local: &mut OpStats,
     ) {
         let nanos = sw.elapsed_nanos();
         self.obs
-            .record_statement(kind, nanos, rows, profile, WaitBreakdown::of(local), local);
+            .record_statement(kind, nanos, rows, Some(profile), WaitBreakdown::of(local), local);
         self.stats.record(local);
     }
 
-    /// Runs one SELECT against the catalog, routing `rel_*` system-table
-    /// names that no real table shadows to the observability layer: the
+    /// Runs one SELECT against the catalog. `rel_*` system-table names that
+    /// no real table shadows are routed to the observability layer: the
     /// current state is synthesized into throwaway tables and the ordinary
     /// select executor runs against those, so filters, projections, joins
     /// between system tables, ORDER BY, aggregates and LIMIT work unchanged.
-    fn run_select(
-        &self,
-        catalog: &Catalog,
-        sel: &SelectStmt,
-        params: &[Value],
-        snapshot: &Snapshot,
-        local: &mut OpStats,
-        governor: &mut Governor,
-    ) -> Result<QueryResult> {
-        let base = lower_name(&sel.table);
-        if obs::is_system_table(&base) && !catalog.contains_key(base.as_ref()) {
-            let virt = self.system_catalog(catalog, sel)?;
-            return execute_select_with(&virt, sel, params, snapshot, local, governor);
-        }
-        execute_select_with(catalog, sel, params, snapshot, local, governor)
-    }
-
-    /// As [`Database::run_select`], consulting the statement's plan cache
-    /// cell for joined selects: the cached plan (and any still-valid
-    /// hash-join build sides) is reused across executions of the same
-    /// prepared handle / SQL text, and refreshed builds are written back.
+    ///
+    /// Joined selects consult the statement's plan cache cell: the cached
+    /// plan (and any still-valid hash-join build sides) is reused across
+    /// executions of the same prepared handle / SQL text, and refreshed
+    /// builds are written back.
     ///
     /// Single-table selects never touch the cell — their access-path choice
     /// is allocation-free, so caching would only add a lock to the
@@ -1067,7 +978,7 @@ impl Database {
         snapshot: &Snapshot,
         local: &mut OpStats,
         governor: &mut Governor,
-        plan: Option<&PlanCell>,
+        plan: &PlanCell,
     ) -> Result<QueryResult> {
         let base = lower_name(&sel.table);
         if obs::is_system_table(&base) && !catalog.contains_key(base.as_ref()) {
@@ -1076,20 +987,17 @@ impl Database {
         }
         let no_reorder = self.planner_no_reorder.load(Ordering::Relaxed);
         let force_scan = self.planner_force_scan.load(Ordering::Relaxed);
-        let cell = match plan {
-            Some(cell) if !sel.joins.is_empty() => cell,
-            _ => {
-                let opts = ExecOptions {
-                    no_reorder,
-                    force_scan,
-                    ..Default::default()
-                };
-                return execute_select_opts(catalog, sel, params, snapshot, local, governor, opts);
-            }
-        };
+        if sel.joins.is_empty() {
+            let opts = ExecOptions {
+                no_reorder,
+                force_scan,
+                ..Default::default()
+            };
+            return execute_select_opts(catalog, sel, params, snapshot, local, governor, opts);
+        }
         let gen = self.plan_gen.load(Ordering::Acquire);
         let (shared, mut builds) = {
-            let mut slot = cell.lock();
+            let mut slot = plan.lock();
             if slot.gen != gen || slot.plan.is_none() {
                 let planned = plan_select(catalog, sel, !no_reorder)?;
                 local.plans_built += 1;
@@ -1116,7 +1024,7 @@ impl Database {
             ..Default::default()
         };
         let result = execute_select_opts(catalog, sel, params, snapshot, local, governor, opts)?;
-        let mut slot = cell.lock();
+        let mut slot = plan.lock();
         if slot.gen == gen && slot.plan.as_ref().is_some_and(|p| Arc::ptr_eq(p, &shared)) {
             slot.builds = builds;
         }
@@ -1199,8 +1107,11 @@ impl Database {
     /// `None` — the programmatic form of SQL `ANALYZE [table]`. Returns the
     /// number of tables analyzed.
     pub fn analyze(&self, table: Option<&str>) -> Result<usize> {
+        let sql = table.map_or("ANALYZE".to_string(), |t| format!("ANALYZE {t}"));
         let stmt = Statement::Analyze(table.map(str::to_string));
-        Ok(self.execute_stmt(&stmt)?.affected())
+        Ok(self
+            .execute_with(None, &Prepared::new(&sql, stmt), &[], &Governance::NONE)?
+            .affected())
     }
 
     /// Bench/test knob: enables or disables cost-based join reordering
@@ -1255,135 +1166,6 @@ impl Database {
         };
         virt.insert(name.to_string(), table);
         Ok(())
-    }
-
-    /// Executes an already-parsed statement inside an explicit transaction.
-    /// SELECTs run under the shared catalog guard against the transaction's
-    /// begin-time snapshot (repeatable reads, no locks); mutating statements
-    /// hold the write guard.
-    pub fn execute_stmt_in(&self, txn: TxnId, stmt: &Statement) -> Result<ExecResult> {
-        self.execute_stmt_in_params_governed(txn, stmt, &[], &Governance::NONE)
-    }
-
-    /// Executes an already-parsed statement inside an explicit transaction
-    /// under the limits declared by `gov`. Every statement refreshes the
-    /// transaction's idle clock (see [`Database::reap_idle`]).
-    pub fn execute_stmt_in_params_governed(
-        &self,
-        txn: TxnId,
-        stmt: &Statement,
-        params: &[Value],
-        gov: &Governance,
-    ) -> Result<ExecResult> {
-        self.execute_stmt_in_tracked(txn, stmt, params, gov, None, None)
-    }
-
-    /// The in-transaction dispatcher; see [`Database::execute_stmt_tracked`]
-    /// for what "tracked" adds.
-    fn execute_stmt_in_tracked(
-        &self,
-        txn: TxnId,
-        stmt: &Statement,
-        params: &[Value],
-        gov: &Governance,
-        profile: Option<&Arc<StmtProfile>>,
-        plan: Option<&PlanCell>,
-    ) -> Result<ExecResult> {
-        match stmt {
-            Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::type_err(
-                "nested transaction control is not supported",
-            )),
-            Statement::Select(sel) => {
-                let sw = Stopwatch::start();
-                let mut governor = Governor::arm(gov);
-                let catalog = self.catalog.read();
-                let snapshot = {
-                    let mut ctl = self.ctl.lock();
-                    ctl.txns.touch(txn);
-                    // An inactive transaction fails here, before anything is
-                    // counted: the statement never executed.
-                    ctl.txns.snapshot_of(txn)?
-                };
-                let mut local = OpStats {
-                    statements_executed: 1,
-                    ..Default::default()
-                };
-                let result = self.run_select_planned(
-                    &catalog,
-                    sel,
-                    params,
-                    &snapshot,
-                    &mut local,
-                    &mut governor,
-                    plan,
-                );
-                drop(catalog);
-                if let Err(e) = &result {
-                    Self::attribute_failure(&mut local, e);
-                }
-                let rows = result.as_ref().map_or(0, |q| q.rows.len() as u64);
-                self.finish_statement(StmtKind::Select, sw, rows, profile, &mut local);
-                Ok(ExecResult::Query(result?))
-            }
-            Statement::Explain { analyze, select } => {
-                let sw = Stopwatch::start();
-                let mut governor = Governor::arm(gov);
-                let catalog = self.catalog.read();
-                let snapshot = {
-                    let mut ctl = self.ctl.lock();
-                    ctl.txns.touch(txn);
-                    ctl.txns.snapshot_of(txn)?
-                };
-                let mut local = OpStats {
-                    statements_executed: 1,
-                    ..Default::default()
-                };
-                let result = self.run_explain(
-                    &catalog,
-                    *analyze,
-                    select,
-                    params,
-                    &snapshot,
-                    &mut local,
-                    &mut governor,
-                );
-                drop(catalog);
-                if let Err(e) = &result {
-                    Self::attribute_failure(&mut local, e);
-                }
-                let rows = result.as_ref().map_or(0, |q| q.rows.len() as u64);
-                self.finish_statement(StmtKind::Select, sw, rows, profile, &mut local);
-                Ok(ExecResult::Query(result?))
-            }
-            Statement::Analyze(target) => {
-                // ANALYZE refreshes shared planner statistics in place; it is
-                // deliberately non-transactional (never WAL-logged, not
-                // undone by rollback) and ignores the transaction's snapshot,
-                // sampling the latest committed state like its autocommit
-                // form.
-                let sw = Stopwatch::start();
-                self.ctl.lock().txns.touch(txn);
-                let mut local = OpStats {
-                    statements_executed: 1,
-                    ..Default::default()
-                };
-                let result = self.run_analyze(target.as_deref(), &mut local);
-                let rows = result.as_ref().map_or(0, |n| *n as u64);
-                self.finish_statement(StmtKind::Ddl, sw, rows, profile, &mut local);
-                result.map(ExecResult::Affected)
-            }
-            _ => {
-                let sw = Stopwatch::start();
-                let mut local = OpStats::default();
-                let result = self.write_stmt_in(txn, stmt, params, gov, &mut local);
-                if let Err(e) = &result {
-                    Self::attribute_failure(&mut local, e);
-                }
-                let rows = result.as_ref().map_or(0, |r| r.affected() as u64);
-                self.finish_statement(StmtKind::of(stmt), sw, rows, profile, &mut local);
-                result
-            }
-        }
     }
 
     /// The body of the in-transaction write arm: bounded lock wait, the
@@ -1607,48 +1389,17 @@ impl Database {
     /// statements would leave the bindings before the failure committed.
     /// Returns the total number of rows affected.
     pub fn execute_batch(&self, prepared: &Prepared, bindings: &[Vec<Value>]) -> Result<usize> {
-        self.execute_batch_governed(prepared, bindings, &Governance::NONE)
+        self.execute_batch_with(None, prepared, bindings, &Governance::NONE)
     }
 
-    /// As [`Database::execute_batch`], under the limits declared by `gov`:
-    /// the whole batch is one governed unit — its deadline, cancellation
-    /// token and budgets span all bindings.
-    pub fn execute_batch_governed(
+    /// The batched-DML entry point. The whole batch is one governed unit —
+    /// its deadline, cancellation token and budgets span all bindings.
+    /// Inside a transaction a mid-batch error leaves the bindings already
+    /// applied pending (their undo records exist), exactly as a failed
+    /// statement in a loop would; the caller decides whether to roll back.
+    pub(crate) fn execute_batch_with(
         &self,
-        prepared: &Prepared,
-        bindings: &[Vec<Value>],
-        gov: &Governance,
-    ) -> Result<usize> {
-        let txn = self.begin();
-        match self.execute_batch_in_governed(txn, prepared, bindings, gov) {
-            Ok(n) => {
-                self.commit(txn)?;
-                Ok(n)
-            }
-            Err(e) => {
-                let _ = self.rollback(txn);
-                Err(e)
-            }
-        }
-    }
-
-    /// As [`Database::execute_batch`], inside an explicit transaction. On a
-    /// mid-batch error the bindings already applied stay pending (their undo
-    /// records exist), exactly as a failed statement in a loop would; the
-    /// caller decides whether to roll back.
-    pub fn execute_batch_in(
-        &self,
-        txn: TxnId,
-        prepared: &Prepared,
-        bindings: &[Vec<Value>],
-    ) -> Result<usize> {
-        self.execute_batch_in_governed(txn, prepared, bindings, &Governance::NONE)
-    }
-
-    /// As [`Database::execute_batch_in`], under the limits declared by `gov`.
-    pub fn execute_batch_in_governed(
-        &self,
-        txn: TxnId,
+        txn: Option<TxnId>,
         prepared: &Prepared,
         bindings: &[Vec<Value>],
         gov: &Governance,
@@ -1664,15 +1415,32 @@ impl Database {
         for binding in bindings {
             Self::check_arity(prepared, binding)?;
         }
-        let mut governor = Governor::arm(gov);
         let mut local = OpStats::default();
+        let result = self.in_txn(txn, &mut local, |txn, local| {
+            self.write_batch_in(txn, prepared, bindings, gov, local)
+        });
+        if let Err(e) = &result {
+            Self::attribute_failure(&mut local, e);
+        }
+        self.stats.record(&local);
+        result
+    }
+
+    /// The body of a batched write inside `txn`: one bounded lock wait, one
+    /// guard acquisition and one WAL append for every binding. Each binding
+    /// counts as one statement and lands one histogram/profile sample.
+    fn write_batch_in(
+        &self,
+        txn: TxnId,
+        prepared: &Prepared,
+        bindings: &[Vec<Value>],
+        gov: &Governance,
+        local: &mut OpStats,
+    ) -> Result<usize> {
+        let mut governor = Governor::arm(gov);
         if let Some(name) = Self::write_target(&prepared.stmt) {
             let wait = gov.lock_wait.unwrap_or_else(|| self.lock_wait_timeout());
-            if let Err(e) = self.wait_for_table_lock(txn, &name, wait, &mut governor, &mut local) {
-                Self::attribute_failure(&mut local, &e);
-                self.stats.record(&local);
-                return Err(e);
-            }
+            self.wait_for_table_lock(txn, &name, wait, &mut governor, local)?;
         }
         let kind = StmtKind::of(&prepared.stmt);
         let mut catalog = self.catalog.write();
@@ -1684,7 +1452,7 @@ impl Database {
         for binding in bindings {
             let sw = Stopwatch::start();
             local.statements_executed += 1;
-            let before = WaitBreakdown::of(&local);
+            let before = WaitBreakdown::of(local);
             // Deadline/cancellation boundary between bindings, in addition
             // to the per-row ticks inside run_write.
             let result = governor.check_now().and_then(|()| {
@@ -1694,23 +1462,22 @@ impl Database {
                     txn,
                     &prepared.stmt,
                     binding,
-                    &mut local,
+                    local,
                     &mut log,
                     &mut governor,
                 )
             });
-            // Each binding counts as one statement, so each lands one
-            // histogram/profile sample. The binding sees only its own wait
-            // delta; the batch's single WAL append and the commit land in
-            // the wal.fsync / txn.commit histograms, not here.
+            // The binding sees only its own wait delta; the batch's single
+            // WAL append and the commit land in the wal.fsync / txn.commit
+            // histograms, not here.
             let rows = result.as_ref().map_or(0, |r| r.affected() as u64);
             self.obs.record_statement(
                 kind,
                 sw.elapsed_nanos(),
                 rows,
                 Some(&prepared.profile),
-                WaitBreakdown::of(&local).delta_since(&before),
-                &mut local,
+                WaitBreakdown::of(local).delta_since(&before),
+                local,
             );
             match result {
                 Ok(result) => affected += result.affected(),
@@ -1720,14 +1487,10 @@ impl Database {
                 }
             }
         }
-        let flushed = Self::append_changes(&mut ctl, txn, log, true, &mut local);
-        self.vacuum_if_bloated(&mut catalog, &ctl, &prepared.stmt, &mut local);
+        let flushed = Self::append_changes(&mut ctl, txn, log, true, local);
+        self.vacuum_if_bloated(&mut catalog, &ctl, &prepared.stmt, local);
         drop(ctl);
         drop(catalog);
-        if let Some(e) = &failed {
-            Self::attribute_failure(&mut local, e);
-        }
-        self.stats.record(&local);
         if let Some(e) = failed {
             return Err(e);
         }
@@ -1745,113 +1508,54 @@ impl Database {
         prepared: &Prepared,
         bindings: &[Vec<Value>],
     ) -> Result<Vec<QueryResult>> {
-        self.query_batch_governed(prepared, bindings, &Governance::NONE)
+        self.query_batch_with(None, prepared, bindings, &Governance::NONE)
     }
 
-    /// As [`Database::query_batch`], under the limits declared by `gov`: the
-    /// whole batch is one governed unit — deadline, cancellation and
-    /// row/byte budgets span all bindings' results combined.
-    pub fn query_batch_governed(
+    /// The batched-SELECT entry point: every binding reads one snapshot —
+    /// a fresh one in autocommit mode, the transaction's begin-time one
+    /// otherwise — through the statement's plan cell, honouring the planner
+    /// knobs exactly like a single execution. The whole batch is one
+    /// governed unit: deadline, cancellation and row/byte budgets span all
+    /// bindings' results combined.
+    pub(crate) fn query_batch_with(
         &self,
+        txn: Option<TxnId>,
         prepared: &Prepared,
         bindings: &[Vec<Value>],
         gov: &Governance,
     ) -> Result<Vec<QueryResult>> {
-        let sel = Self::batch_select(prepared, bindings)?;
-        let mut governor = Governor::arm(gov);
-        let catalog = self.catalog.read();
-        let snapshot = self.ctl.lock().txns.read_snapshot();
-        self.run_query_batch(
-            &catalog,
-            sel,
-            bindings,
-            &snapshot,
-            true,
-            &mut governor,
-            &prepared.profile,
-        )
-    }
-
-    /// As [`Database::query_batch`], inside an explicit transaction: the
-    /// whole batch reads the transaction's begin-time snapshot.
-    pub fn query_batch_in(
-        &self,
-        txn: TxnId,
-        prepared: &Prepared,
-        bindings: &[Vec<Value>],
-    ) -> Result<Vec<QueryResult>> {
-        self.query_batch_in_governed(txn, prepared, bindings, &Governance::NONE)
-    }
-
-    /// As [`Database::query_batch_in`], under the limits declared by `gov`.
-    pub fn query_batch_in_governed(
-        &self,
-        txn: TxnId,
-        prepared: &Prepared,
-        bindings: &[Vec<Value>],
-        gov: &Governance,
-    ) -> Result<Vec<QueryResult>> {
-        let sel = Self::batch_select(prepared, bindings)?;
-        let mut governor = Governor::arm(gov);
-        let catalog = self.catalog.read();
-        let snapshot = {
-            let mut ctl = self.ctl.lock();
-            ctl.txns.touch(txn);
-            ctl.txns.snapshot_of(txn)?
-        };
-        self.run_query_batch(
-            &catalog,
-            sel,
-            bindings,
-            &snapshot,
-            false,
-            &mut governor,
-            &prepared.profile,
-        )
-    }
-
-    /// Validates a batch SELECT's shape and arities.
-    fn batch_select<'a>(prepared: &'a Prepared, bindings: &[Vec<Value>]) -> Result<&'a SelectStmt> {
         let Statement::Select(sel) = prepared.stmt.as_ref() else {
             return Err(Error::type_err("query_batch expects a SELECT statement"));
         };
         for binding in bindings {
             Self::check_arity(prepared, binding)?;
         }
-        Ok(sel)
-    }
-
-    /// Runs the per-binding SELECTs of a batch under an already-held guard
-    /// against one shared snapshot.
-    #[allow(clippy::too_many_arguments)]
-    fn run_query_batch(
-        &self,
-        catalog: &Catalog,
-        sel: &SelectStmt,
-        bindings: &[Vec<Value>],
-        snapshot: &Snapshot,
-        fresh_snapshot: bool,
-        governor: &mut Governor,
-        profile: &Arc<StmtProfile>,
-    ) -> Result<Vec<QueryResult>> {
-        let mut local = OpStats {
-            snapshots_taken: u64::from(fresh_snapshot),
-            ..Default::default()
-        };
+        let mut governor = Governor::arm(gov);
+        let catalog = self.catalog.read();
+        let mut local = OpStats::default();
+        let snapshot = self.read_snapshot(txn, &mut local)?;
         let mut out = Vec::with_capacity(bindings.len());
         let mut failed = None;
         for binding in bindings {
             let sw = Stopwatch::start();
             local.statements_executed += 1;
-            let result = governor
-                .check_now()
-                .and_then(|()| self.run_select(catalog, sel, binding, snapshot, &mut local, governor));
+            let result = governor.check_now().and_then(|()| {
+                self.run_select_planned(
+                    &catalog,
+                    sel,
+                    binding,
+                    &snapshot,
+                    &mut local,
+                    &mut governor,
+                    &prepared.plan,
+                )
+            });
             let rows = result.as_ref().map_or(0, |q| q.rows.len() as u64);
             self.obs.record_statement(
                 StmtKind::Select,
                 sw.elapsed_nanos(),
                 rows,
-                Some(profile),
+                Some(&prepared.profile),
                 WaitBreakdown::default(),
                 &mut local,
             );
@@ -1863,6 +1567,7 @@ impl Database {
                 }
             }
         }
+        drop(catalog);
         if let Some(e) = &failed {
             Self::attribute_failure(&mut local, e);
         }
@@ -1958,29 +1663,9 @@ impl Database {
             | Statement::Select(_)
             | Statement::Analyze(_)
             | Statement::Explain { .. } => {
-                unreachable!("handled by execute_stmt_in_params")
+                unreachable!("handled by Database::execute_with")
             }
         }
-    }
-
-    /// Convenience wrapper: executes a SELECT and returns its rows.
-    pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        self.execute(sql)?.query()
-    }
-
-    /// Convenience wrapper: a SELECT under the limits declared by `gov`.
-    pub fn query_governed(&self, sql: &str, gov: &Governance) -> Result<QueryResult> {
-        self.execute_governed(sql, gov)?.query()
-    }
-
-    /// Executes a prepared SELECT under the limits declared by `gov`.
-    pub fn query_prepared_governed(
-        &self,
-        prepared: &Prepared,
-        params: &[Value],
-        gov: &Governance,
-    ) -> Result<QueryResult> {
-        self.execute_prepared_governed(prepared, params, gov)?.query()
     }
 
     /// Convenience wrapper: runs `SELECT COUNT(*) FROM table [WHERE ...]`
@@ -2317,7 +2002,7 @@ impl Database {
     /// [`Transaction`](crate::Transaction) guard: `commit()` consumes the
     /// guard, dropping it (including during a panic unwind) rolls back.
     pub fn transaction(&self) -> crate::Transaction<'_> {
-        crate::Transaction::begin(self)
+        crate::Transaction::begin(self.session())
     }
 }
 
@@ -2377,21 +2062,21 @@ mod tests {
     #[test]
     fn explicit_transactions_commit_and_rollback() {
         let db = setup();
-        let txn = db.begin();
-        db.execute_in(txn, "INSERT INTO jobs (job_id, owner, state) VALUES (4, 'carol', 'idle')")
+        let txn = db.transaction();
+        txn.execute("INSERT INTO jobs (job_id, owner, state) VALUES (4, 'carol', 'idle')", ())
             .unwrap();
-        db.execute_in(txn, "UPDATE jobs SET state = 'held' WHERE job_id = 2").unwrap();
-        db.execute_in(txn, "DELETE FROM jobs WHERE job_id = 3").unwrap();
-        db.rollback(txn).unwrap();
+        txn.execute("UPDATE jobs SET state = 'held' WHERE job_id = 2", ()).unwrap();
+        txn.execute("DELETE FROM jobs WHERE job_id = 3", ()).unwrap();
+        txn.rollback().unwrap();
 
         assert_eq!(db.table_len("jobs").unwrap(), 3);
         let r = db.query("SELECT state FROM jobs WHERE job_id = 2").unwrap();
         assert_eq!(r.first_value("state"), Some(&Value::Text("idle".into())));
 
-        let txn = db.begin();
-        db.execute_in(txn, "INSERT INTO jobs (job_id, owner, state) VALUES (4, 'carol', 'idle')")
+        let txn = db.transaction();
+        txn.execute("INSERT INTO jobs (job_id, owner, state) VALUES (4, 'carol', 'idle')", ())
             .unwrap();
-        db.commit(txn).unwrap();
+        txn.commit().unwrap();
         assert_eq!(db.table_len("jobs").unwrap(), 4);
         db.check_consistency().unwrap();
     }
@@ -2399,38 +2084,26 @@ mod tests {
     #[test]
     fn readers_never_conflict_with_writers() {
         let db = setup();
-        let t1 = db.begin();
-        let t2 = db.begin();
-        db.execute_in(t1, "UPDATE jobs SET state = 'held' WHERE job_id = 1").unwrap();
+        let t1 = db.transaction();
+        let t2 = db.transaction();
+        t1.execute("UPDATE jobs SET state = 'held' WHERE job_id = 1", ()).unwrap();
 
         // MVCC: a reader in another transaction succeeds against the
         // in-flight writer and sees the pre-update state.
-        let r = db
-            .execute_in(t2, "SELECT state FROM jobs WHERE job_id = 1")
-            .unwrap()
-            .query()
-            .unwrap();
+        let r = t2.query("SELECT state FROM jobs WHERE job_id = 1", ()).unwrap();
         assert_eq!(r.first_value("state"), Some(&Value::Text("idle".into())));
         // The autocommit fast path reads the committed state too.
         let r = db.query("SELECT state FROM jobs WHERE job_id = 1").unwrap();
         assert_eq!(r.first_value("state"), Some(&Value::Text("idle".into())));
         // The writer itself sees its own uncommitted version.
-        let r = db
-            .execute_in(t1, "SELECT state FROM jobs WHERE job_id = 1")
-            .unwrap()
-            .query()
-            .unwrap();
+        let r = t1.query("SELECT state FROM jobs WHERE job_id = 1", ()).unwrap();
         assert_eq!(r.first_value("state"), Some(&Value::Text("held".into())));
 
-        db.commit(t1).unwrap();
+        t1.commit().unwrap();
         // t2's snapshot predates t1's commit: repeatable reads.
-        let r = db
-            .execute_in(t2, "SELECT state FROM jobs WHERE job_id = 1")
-            .unwrap()
-            .query()
-            .unwrap();
+        let r = t2.query("SELECT state FROM jobs WHERE job_id = 1", ()).unwrap();
         assert_eq!(r.first_value("state"), Some(&Value::Text("idle".into())));
-        db.commit(t2).unwrap();
+        t2.commit().unwrap();
         // A fresh autocommit read observes the committed update.
         let r = db.query("SELECT state FROM jobs WHERE job_id = 1").unwrap();
         assert_eq!(r.first_value("state"), Some(&Value::Text("held".into())));
@@ -2439,18 +2112,18 @@ mod tests {
     #[test]
     fn write_write_conflicts_are_still_reported() {
         let db = setup();
-        let t1 = db.begin();
-        let t2 = db.begin();
-        db.execute_in(t1, "UPDATE jobs SET state = 'held' WHERE job_id = 1").unwrap();
+        let t1 = db.transaction();
+        let t2 = db.transaction();
+        t1.execute("UPDATE jobs SET state = 'held' WHERE job_id = 1", ()).unwrap();
         // A second writer on the same table fails fast and retryably.
-        let err = db
-            .execute_in(t2, "UPDATE jobs SET state = 'done' WHERE job_id = 2")
+        let err = t2
+            .execute("UPDATE jobs SET state = 'done' WHERE job_id = 2", ())
             .unwrap_err();
         assert!(err.is_retryable());
-        db.commit(t1).unwrap();
+        t1.commit().unwrap();
         // After the first writer commits, the second proceeds.
-        db.execute_in(t2, "UPDATE jobs SET state = 'done' WHERE job_id = 2").unwrap();
-        db.commit(t2).unwrap();
+        t2.execute("UPDATE jobs SET state = 'done' WHERE job_id = 2", ()).unwrap();
+        t2.commit().unwrap();
     }
 
     #[test]
@@ -2484,8 +2157,8 @@ mod tests {
         let db = setup();
         db.execute("UPDATE jobs SET state = 'done' WHERE job_id = 3").unwrap();
         // An uncommitted transaction at crash time must disappear.
-        let txn = db.begin();
-        db.execute_in(txn, "DELETE FROM jobs").unwrap();
+        let txn = db.transaction();
+        txn.execute("DELETE FROM jobs", ()).unwrap();
 
         let wal = db.snapshot_wal().unwrap();
         let recovered = Database::recover_from(wal).unwrap();
@@ -2570,9 +2243,9 @@ mod tests {
     fn plain_execute_rejects_placeholders() {
         let db = setup();
         assert!(db.execute("SELECT * FROM jobs WHERE job_id = ?").is_err());
-        let txn = db.begin();
-        assert!(db.execute_in(txn, "DELETE FROM jobs WHERE job_id = ?").is_err());
-        db.rollback(txn).unwrap();
+        let txn = db.transaction();
+        assert!(txn.execute("DELETE FROM jobs WHERE job_id = ?", ()).is_err());
+        txn.rollback().unwrap();
     }
 
     #[test]
@@ -2624,26 +2297,38 @@ mod tests {
         let ins = db
             .prepare("INSERT INTO jobs (job_id, owner, state) VALUES (?, ?, ?)")
             .unwrap();
-        let txn = db.begin();
-        db.execute_prepared_in(
-            txn,
-            &ins,
-            &[Value::Int(10), Value::from("zoe"), Value::from("idle")],
-        )
-        .unwrap();
-        db.rollback(txn).unwrap();
+        let txn = db.transaction();
+        txn.execute(&ins, (10i64, "zoe", "idle")).unwrap();
+        txn.rollback().unwrap();
         assert_eq!(db.table_len("jobs").unwrap(), 3, "rollback undoes prepared insert");
 
-        let txn = db.begin();
-        db.execute_prepared_in(
-            txn,
-            &ins,
-            &[Value::Int(10), Value::from("zoe"), Value::from("idle")],
-        )
-        .unwrap();
-        db.commit(txn).unwrap();
+        let txn = db.transaction();
+        txn.execute(&ins, (10i64, "zoe", "idle")).unwrap();
+        txn.commit().unwrap();
         assert_eq!(db.table_len("jobs").unwrap(), 4);
         db.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn batched_selects_honour_the_planner_knobs() {
+        let db = Database::new();
+        db.execute("CREATE TABLE big (id INT PRIMARY KEY, v INT)").unwrap();
+        let ins = db.prepare("INSERT INTO big VALUES (?, ?)").unwrap();
+        let rows: Vec<Vec<Value>> = (0..1000).map(|i| vec![Value::Int(i), Value::Int(i)]).collect();
+        db.execute_batch(&ins, &rows).unwrap();
+        db.set_force_scan(true);
+        let q = db.prepare("SELECT v FROM big WHERE id = ?").unwrap();
+
+        let before = db.stats();
+        let single = db.query_prepared(&q, &[Value::Int(500)]).unwrap();
+        let single_scanned = db.stats().delta_since(&before).rows_scanned;
+        let before = db.stats();
+        let batch = db.query_batch(&q, &[vec![Value::Int(500)]]).unwrap();
+        let batch_scanned = db.stats().delta_since(&before).rows_scanned;
+
+        assert_eq!(batch, vec![single]);
+        assert_eq!(single_scanned, 1000, "the forced scan reads every row");
+        assert_eq!(batch_scanned, single_scanned, "the batch must honour the forced scan");
     }
 
     #[test]
@@ -2660,8 +2345,8 @@ mod tests {
     #[test]
     fn checkpoint_waits_out_active_transactions() {
         let db = setup();
-        let txn = db.begin();
-        db.execute_in(txn, "INSERT INTO jobs (job_id, owner) VALUES (8, 'eve')").unwrap();
+        let txn = db.transaction();
+        txn.execute("INSERT INTO jobs (job_id, owner) VALUES (8, 'eve')", ()).unwrap();
         let wal_before = db.wal_len();
         // Checkpointing now would snapshot the uncommitted row and truncate
         // the records recovery needs to discard it; it must refuse with a
@@ -2670,7 +2355,7 @@ mod tests {
         assert!(matches!(err, Error::Busy(_)));
         assert!(err.is_retryable());
         assert_eq!(db.wal_len(), wal_before);
-        db.rollback(txn).unwrap();
+        txn.rollback().unwrap();
 
         // The rolled-back insert must not survive a checkpoint + recovery.
         assert!(db.checkpoint().unwrap() > 0);
@@ -2688,22 +2373,22 @@ mod tests {
         let before = db.wal_len();
 
         // A transaction that only reads appends neither Begin nor Commit.
-        let txn = db.begin();
-        db.execute_in(txn, "SELECT * FROM jobs").unwrap();
-        db.commit(txn).unwrap();
+        let txn = db.transaction();
+        txn.execute("SELECT * FROM jobs", ()).unwrap();
+        txn.commit().unwrap();
         assert_eq!(db.wal_len(), before, "read-only commit must not touch the WAL");
 
-        let txn = db.begin();
-        db.execute_in(txn, "SELECT COUNT(*) FROM jobs").unwrap();
-        db.rollback(txn).unwrap();
+        let txn = db.transaction();
+        txn.execute("SELECT COUNT(*) FROM jobs", ()).unwrap();
+        txn.rollback().unwrap();
         assert_eq!(db.wal_len(), before, "read-only rollback must not touch the WAL");
 
         // A writing transaction appends Begin lazily, with its first change.
         let s1 = db.stats();
-        let txn = db.begin();
+        let txn = db.transaction();
         assert_eq!(db.wal_len(), before, "Begin is deferred until the first write");
-        db.execute_in(txn, "UPDATE jobs SET state = 'held' WHERE job_id = 1").unwrap();
-        db.commit(txn).unwrap();
+        txn.execute("UPDATE jobs SET state = 'held' WHERE job_id = 1", ()).unwrap();
+        txn.commit().unwrap();
         let d = db.stats().delta_since(&s1);
         assert_eq!(d.wal_records, 3, "Begin + Update + Commit");
 

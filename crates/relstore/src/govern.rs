@@ -43,9 +43,10 @@ pub const DEFAULT_CHECK_INTERVAL: u32 = 1024;
 /// Declarative per-statement limits. `Default` (and [`Governance::NONE`])
 /// sets no limit at all — the zero-overhead configuration.
 ///
-/// A `Governance` belongs to a [`Session`](crate::Session), a wire
-/// connection, or is passed explicitly to the governed `Database` entry
-/// points; a fresh [`Governor`] is armed from it for every statement.
+/// A `Governance` belongs to a [`Session`](crate::Session) — and through it
+/// to the session's [`Transaction`](crate::Transaction) guards and to each
+/// wire connection, which is served through a session; a fresh
+/// [`Governor`] is armed from it for every statement.
 #[derive(Debug, Clone, Default)]
 pub struct Governance {
     /// Wall-clock budget for one statement. Expiry surfaces a
@@ -70,7 +71,7 @@ pub struct Governance {
 }
 
 impl Governance {
-    /// The no-limits configuration used by the ungoverned public API.
+    /// The no-limits configuration the `Database` conveniences run under.
     pub const NONE: Governance = Governance {
         deadline: None,
         max_rows: None,

@@ -142,7 +142,11 @@
 //! [`Transaction`] guard. `commit()` consumes the guard; dropping it — on an
 //! early return, `?` propagation, or a panic unwinding past it — rolls back
 //! and releases the transaction's locks. No raw transaction ids cross the
-//! service layer.
+//! service layer. A session can also hold a transaction open across calls
+//! with [`Session::begin`] / [`Session::commit`] / [`Session::rollback`]
+//! (or the same as SQL text); this is the transaction control the wire
+//! server runs for each connection, and a session dropped with a
+//! transaction open rolls it back.
 //!
 //! ```
 //! use relstore::Database;
@@ -272,9 +276,12 @@
 //!
 //! A cluster-management substrate must stay responsive under overload: a
 //! runaway query, an unbounded result set or an abandoned transaction may
-//! not take the engine down with it. Every execution path therefore has a
-//! `_governed` variant taking a [`Governance`], and [`Session`]s carry one
-//! ([`Session::with_governance`]) that applies to every statement:
+//! not take the engine down with it. Every statement therefore runs under a
+//! [`Governance`]. The `Database` conveniences use [`Governance::NONE`] (a
+//! disarmed governor: one branch per check); to set limits, give a session
+//! one with [`Session::with_governance`]. It applies to every statement the
+//! session runs, including those of the [`Transaction`] guards it opens,
+//! and the wire server serves each connection through such a session:
 //!
 //! * **Statement deadlines & cooperative cancellation** —
 //!   [`Governance::deadline`] bounds one statement's wall-clock time and

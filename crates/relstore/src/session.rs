@@ -21,6 +21,7 @@ use crate::error::{Error, Result};
 use crate::exec::QueryResult;
 use crate::govern::Governance;
 use crate::sql::ast::Statement;
+use crate::value::Value;
 use crate::wal::TxnId;
 use std::time::{Duration, Instant};
 
@@ -86,13 +87,14 @@ pub fn retry_with_backoff_deadline<T>(
 
 /// A lightweight client handle over a [`Database`].
 ///
-/// A session is two words (a database reference and an optional open
-/// transaction id); open one per request. All typed access — tuple-bound
-/// parameters, [`FromRow`] decoding, batches — goes through it. SQL-text
-/// transaction control (`BEGIN` / `COMMIT` / `ROLLBACK`) is honoured for
-/// console-style callers; programmatic callers should prefer the
-/// [`Session::transaction`] RAII guard. A session dropped with an open
-/// SQL-level transaction rolls it back.
+/// A session is a database reference, an optional open transaction id and
+/// the [`Governance`] its statements run under; open one per request. All
+/// typed access — tuple-bound parameters, [`FromRow`] decoding, batches —
+/// goes through it. Transaction control is [`Session::begin`] /
+/// [`Session::commit`] / [`Session::rollback`], or the same as SQL text
+/// (`BEGIN` / `COMMIT` / `ROLLBACK`) for console-style callers;
+/// programmatic callers should prefer the [`Session::transaction`] RAII
+/// guard. A session dropped with an open transaction rolls it back.
 #[derive(Debug)]
 pub struct Session<'a> {
     db: &'a Database,
@@ -118,7 +120,8 @@ impl<'a> Session<'a> {
 
     /// Sets the per-statement limits (deadline, cancellation token, row and
     /// byte budgets, lock-wait bound) applied to every statement this
-    /// session executes; see [`Governance`]. Returns `self` for chaining.
+    /// session executes, including those of the [`Transaction`] guards it
+    /// opens; see [`Governance`]. Returns `self` for chaining.
     pub fn with_governance(mut self, governance: Governance) -> Self {
         self.governance = governance;
         self
@@ -134,17 +137,47 @@ impl<'a> Session<'a> {
         &self.governance
     }
 
-    /// True when a SQL-level (`BEGIN`) transaction is open on this session.
+    /// True when a transaction is open on this session.
     pub fn in_transaction(&self) -> bool {
         self.txn.is_some()
+    }
+
+    /// Opens the session's transaction; every statement runs inside it
+    /// until [`Session::commit`] or [`Session::rollback`]. At most one may
+    /// be open.
+    pub fn begin(&mut self) -> Result<()> {
+        if self.txn.is_some() {
+            return Err(Error::type_err("transaction already open"));
+        }
+        self.txn = Some(self.db.begin());
+        Ok(())
+    }
+
+    /// Commits the session's transaction.
+    pub fn commit(&mut self) -> Result<()> {
+        let txn = self.take_txn()?;
+        self.db.commit(txn)
+    }
+
+    /// Rolls back the session's transaction.
+    pub fn rollback(&mut self) -> Result<()> {
+        let txn = self.take_txn()?;
+        self.db.rollback(txn)
+    }
+
+    fn take_txn(&mut self) -> Result<TxnId> {
+        self.txn
+            .take()
+            .ok_or_else(|| Error::type_err("no open transaction"))
     }
 
     /// Executes one statement — SQL text or a prepared handle — binding
     /// `params` positionally to its `?` placeholders.
     ///
-    /// `BEGIN` / `COMMIT` / `ROLLBACK` statements drive the session's
-    /// SQL-level transaction; every other statement runs inside the open
-    /// transaction if there is one, else in autocommit mode.
+    /// `BEGIN` / `COMMIT` / `ROLLBACK` statements call [`Session::begin`] /
+    /// [`Session::commit`] / [`Session::rollback`]; every other statement
+    /// runs inside the open transaction if there is one, else in autocommit
+    /// mode.
     pub fn execute<S: ToStatement, P: IntoParams>(
         &mut self,
         stmt: S,
@@ -152,48 +185,26 @@ impl<'a> Session<'a> {
     ) -> Result<ExecResult> {
         let prepared = stmt.to_prepared(self.db)?;
         let values = params.into_params();
-        match prepared.statement() {
-            Statement::Begin | Statement::Commit | Statement::Rollback if !values.is_empty() => {
-                Err(Error::type_err(format!(
-                    "transaction-control statements take no parameters, got {}",
-                    values.len()
-                )))
-            }
-            Statement::Begin => {
-                if self.txn.is_some() {
-                    return Err(Error::type_err("transaction already open"));
-                }
-                self.txn = Some(self.db.begin());
-                Ok(ExecResult::Ack)
-            }
-            Statement::Commit => {
-                let txn = self
-                    .txn
-                    .take()
-                    .ok_or_else(|| Error::type_err("no open transaction"))?;
-                self.db.commit(txn)?;
-                Ok(ExecResult::Ack)
-            }
-            Statement::Rollback => {
-                let txn = self
-                    .txn
-                    .take()
-                    .ok_or_else(|| Error::type_err("no open transaction"))?;
-                self.db.rollback(txn)?;
-                Ok(ExecResult::Ack)
-            }
-            _ => match self.txn {
-                Some(txn) => self.db.execute_prepared_in_governed(
-                    txn,
-                    &prepared,
-                    &values,
-                    &self.governance,
-                ),
-                None => self
-                    .db
-                    .execute_prepared_governed(&prepared, &values, &self.governance),
-            },
+        let control = match prepared.statement() {
+            Statement::Begin => Session::begin,
+            Statement::Commit => Session::commit,
+            Statement::Rollback => Session::rollback,
+            _ => return self.run(&prepared, &values),
+        };
+        if !values.is_empty() {
+            return Err(Error::type_err(format!(
+                "transaction-control statements take no parameters, got {}",
+                values.len()
+            )));
         }
+        control(self).map(|()| ExecResult::Ack)
+    }
+
+    /// Runs a non-control statement in the session's transaction mode under
+    /// its limits.
+    fn run(&self, prepared: &Prepared, values: &[Value]) -> Result<ExecResult> {
+        self.db
+            .execute_with(self.txn, prepared, values, &self.governance)
     }
 
     /// Executes a SELECT and returns its rows.
@@ -242,16 +253,17 @@ impl<'a> Session<'a> {
         stmt: &Prepared,
         bindings: impl IntoIterator<Item = P>,
     ) -> Result<usize> {
+        self.run_batch(stmt, bindings)
+    }
+
+    fn run_batch<P: IntoParams>(
+        &self,
+        stmt: &Prepared,
+        bindings: impl IntoIterator<Item = P>,
+    ) -> Result<usize> {
         let bindings: Vec<Vec<_>> = bindings.into_iter().map(IntoParams::into_params).collect();
-        match self.txn {
-            Some(txn) => {
-                self.db
-                    .execute_batch_in_governed(txn, stmt, &bindings, &self.governance)
-            }
-            None => self
-                .db
-                .execute_batch_governed(stmt, &bindings, &self.governance),
-        }
+        self.db
+            .execute_batch_with(self.txn, stmt, &bindings, &self.governance)
     }
 
     /// Executes a prepared SELECT once per binding under a single shared
@@ -261,28 +273,34 @@ impl<'a> Session<'a> {
         stmt: &Prepared,
         bindings: impl IntoIterator<Item = P>,
     ) -> Result<Vec<QueryResult>> {
-        let bindings: Vec<Vec<_>> = bindings.into_iter().map(IntoParams::into_params).collect();
-        match self.txn {
-            Some(txn) => {
-                self.db
-                    .query_batch_in_governed(txn, stmt, &bindings, &self.governance)
-            }
-            None => self.db.query_batch_governed(stmt, &bindings, &self.governance),
-        }
+        self.run_query_batch(stmt, bindings)
     }
 
-    /// Begins an explicit transaction and returns its RAII guard. While the
-    /// guard lives the session is mutably borrowed, so all statements go
-    /// through the guard; commit consumes it, drop rolls back.
+    fn run_query_batch<P: IntoParams>(
+        &self,
+        stmt: &Prepared,
+        bindings: impl IntoIterator<Item = P>,
+    ) -> Result<Vec<QueryResult>> {
+        let bindings: Vec<Vec<_>> = bindings.into_iter().map(IntoParams::into_params).collect();
+        self.db
+            .query_batch_with(self.txn, stmt, &bindings, &self.governance)
+    }
+
+    /// Begins an explicit transaction and returns its RAII guard, which
+    /// runs its statements under this session's limits. While the guard
+    /// lives the session is mutably borrowed, so all statements go through
+    /// the guard; commit consumes it, drop rolls back.
     ///
-    /// Fails if a SQL-level `BEGIN` transaction is already open.
+    /// Fails if a transaction is already open on the session.
     pub fn transaction(&mut self) -> Result<Transaction<'_>> {
         if self.txn.is_some() {
             return Err(Error::type_err(
-                "a SQL-level transaction is already open on this session",
+                "a transaction is already open on this session",
             ));
         }
-        Ok(Transaction::begin(self.db))
+        Ok(Transaction::begin(
+            Session::new(self.db).with_governance(self.governance.clone()),
+        ))
     }
 
     /// Runs `f` up to `attempts` times, retrying — with capped exponential
@@ -345,34 +363,29 @@ impl<'a> Drop for Session<'a> {
 
 /// An RAII transaction guard.
 ///
-/// Obtained from [`Database::transaction`] or [`Session::transaction`].
-/// Statements executed through the guard run inside the transaction;
+/// Obtained from [`Database::transaction`] (no statement limits) or
+/// [`Session::transaction`] (the session's limits). Statements executed
+/// through the guard run inside the transaction;
 /// [`commit`](Transaction::commit) consumes the guard, and dropping it
 /// without committing — early return, `?` propagation, or a panic unwinding
-/// past it — rolls the transaction back and releases its locks. The id-passing
-/// `begin()` / `commit(TxnId)` surface still exists underneath for the
-/// recovery machinery, but services should never touch raw ids.
+/// past it — rolls the transaction back and releases its locks.
 #[derive(Debug)]
 pub struct Transaction<'a> {
-    db: &'a Database,
-    id: TxnId,
-    open: bool,
+    /// A session holding the transaction open; its drop is the guard's
+    /// rollback.
+    session: Session<'a>,
 }
 
 impl<'a> Transaction<'a> {
-    /// Begins a transaction on `db` (used by the `Database`/`Session`
-    /// constructors).
-    pub(crate) fn begin(db: &'a Database) -> Self {
-        Transaction {
-            db,
-            id: db.begin(),
-            open: true,
-        }
+    /// Begins a transaction on `session`, which has none open yet.
+    pub(crate) fn begin(mut session: Session<'a>) -> Self {
+        session.txn = Some(session.db.begin());
+        Transaction { session }
     }
 
     /// The transaction id (for diagnostics; the guard owns its lifecycle).
     pub fn id(&self) -> TxnId {
-        self.id
+        self.session.txn.expect("a live guard holds its transaction")
     }
 
     /// Executes one statement inside the transaction, binding `params`
@@ -383,9 +396,8 @@ impl<'a> Transaction<'a> {
         stmt: S,
         params: P,
     ) -> Result<ExecResult> {
-        let prepared = stmt.to_prepared(self.db)?;
-        let values = params.into_params();
-        self.db.execute_prepared_in(self.id, &prepared, &values)
+        let prepared = stmt.to_prepared(self.session.db)?;
+        self.session.run(&prepared, &params.into_params())
     }
 
     /// Executes a SELECT inside the transaction and returns its rows.
@@ -432,8 +444,7 @@ impl<'a> Transaction<'a> {
         stmt: &Prepared,
         bindings: impl IntoIterator<Item = P>,
     ) -> Result<usize> {
-        let bindings: Vec<Vec<_>> = bindings.into_iter().map(IntoParams::into_params).collect();
-        self.db.execute_batch_in(self.id, stmt, &bindings)
+        self.session.run_batch(stmt, bindings)
     }
 
     /// Executes a prepared SELECT once per binding inside the transaction
@@ -443,29 +454,18 @@ impl<'a> Transaction<'a> {
         stmt: &Prepared,
         bindings: impl IntoIterator<Item = P>,
     ) -> Result<Vec<QueryResult>> {
-        let bindings: Vec<Vec<_>> = bindings.into_iter().map(IntoParams::into_params).collect();
-        self.db.query_batch_in(self.id, stmt, &bindings)
+        self.session.run_query_batch(stmt, bindings)
     }
 
     /// Commits the transaction, consuming the guard.
     pub fn commit(mut self) -> Result<()> {
-        self.open = false;
-        self.db.commit(self.id)
+        self.session.commit()
     }
 
     /// Rolls the transaction back explicitly (dropping the guard does the
     /// same; this form surfaces the result).
     pub fn rollback(mut self) -> Result<()> {
-        self.open = false;
-        self.db.rollback(self.id)
-    }
-}
-
-impl<'a> Drop for Transaction<'a> {
-    fn drop(&mut self) {
-        if self.open {
-            let _ = self.db.rollback(self.id);
-        }
+        self.session.rollback()
     }
 }
 
@@ -929,8 +929,12 @@ mod tests {
     #[test]
     fn session_governance_applies_to_every_statement() {
         let db = setup();
+        let ins = db.prepare("INSERT INTO jobs (job_id, owner) VALUES (?, ?)").unwrap();
+        db.execute_batch(&ins, &(10..27).map(|i| vec![Value::Int(i), "bulk".into()]).collect::<Vec<_>>())
+            .unwrap();
+        assert_eq!(db.table_len("jobs").unwrap(), 20);
         let mut s = db.session().with_governance(Governance {
-            max_rows: Some(1),
+            max_rows: Some(5),
             ..Governance::default()
         });
         let err = s.query("SELECT * FROM jobs", ()).unwrap_err();
@@ -943,6 +947,21 @@ mod tests {
         let err = s.query("SELECT * FROM jobs", ()).unwrap_err();
         assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
         s.execute("ROLLBACK", ()).unwrap();
+        // Protocol-level transaction control runs under the same limits.
+        s.begin().unwrap();
+        let err = s.query("SELECT * FROM jobs", ()).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
+        s.rollback().unwrap();
+        // So does the session's RAII transaction guard.
+        let txn = s.transaction().unwrap();
+        let err = txn.query("SELECT * FROM jobs", ()).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
+        assert_eq!(txn.query("SELECT * FROM jobs WHERE job_id < 10", ()).unwrap().len(), 3);
+        txn.rollback().unwrap();
+        // A guard opened on the database itself carries no limits.
+        let txn = db.transaction();
+        assert_eq!(txn.query("SELECT * FROM jobs", ()).unwrap().len(), 20);
+        txn.commit().unwrap();
     }
 
     #[test]

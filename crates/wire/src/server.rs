@@ -7,11 +7,13 @@
 //! connection at a time, so `workers` bounds the number of *concurrently
 //! served* connections and accepted-but-unserved ones wait in the queue.
 //!
-//! Per-connection state mirrors a [`relstore::Session`]: a table of prepared
-//! statements (handles are connection-scoped) and at most one open
-//! transaction, which **rolls back automatically when the connection drops**
-//! — a client that dies mid-transaction releases its locks the moment the
-//! socket closes, exactly like a dropped RAII guard in process.
+//! Each connection is served through one [`relstore::Session`] plus a table
+//! of prepared statements (handles are connection-scoped). The session owns
+//! the connection's at-most-one open transaction, so transaction control
+//! behaves exactly as it does embedded, and the transaction **rolls back
+//! automatically when the connection drops** — a client that dies
+//! mid-transaction releases its locks the moment the socket closes, because
+//! dropping the session rolls it back.
 //!
 //! Shutdown is graceful: [`ServerHandle::shutdown`] stops accepting, lets
 //! every in-flight statement finish and its response flush, then closes the
@@ -30,11 +32,9 @@
 use crate::protocol::{
     self, write_frame, HandshakeStatus, Request, Response, StmtRef, VERSION,
 };
-use relstore::sql::ast::Statement;
 use relstore::stats::SharedStats;
-use relstore::wal::TxnId;
 use relstore::{
-    Database, Error, ExecResult, Governance, OpStats, Prepared, QueryResult, Result, Value,
+    Database, Error, ExecResult, Governance, OpStats, Prepared, QueryResult, Result, Session,
 };
 use std::collections::HashMap;
 use std::io::Read;
@@ -361,33 +361,29 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>) {
 
 // --- per-connection serving --------------------------------------------------
 
-/// Prepared-statement handles and the at-most-one open transaction of one
-/// connection.
-struct ConnState {
+/// One connection's session (which owns its open transaction, if any) and
+/// its prepared-statement handles.
+struct ConnState<'a> {
+    session: Session<'a>,
     stmts: HashMap<u32, Prepared>,
     next_stmt: u32,
-    txn: Option<TxnId>,
 }
 
 fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+    // Whatever ends the connection — clean close, protocol error, shutdown
+    // — dropping the session rolls back a transaction left open on it.
     let mut conn = ConnState {
+        session: shared.db.session(),
         stmts: HashMap::new(),
         next_stmt: 1,
-        txn: None,
     };
     let _ = serve_frames(shared, &mut stream, &mut conn);
-    // Whatever ended the connection — clean close, protocol error, shutdown
-    // — an open transaction must not outlive it: roll it back and release
-    // its locks, like a dropped RAII guard.
-    if let Some(txn) = conn.txn.take() {
-        let _ = shared.db.rollback(txn);
-    }
 }
 
-fn serve_frames(shared: &Shared, stream: &mut TcpStream, conn: &mut ConnState) -> Result<()> {
+fn serve_frames(shared: &Shared, stream: &mut TcpStream, conn: &mut ConnState<'_>) -> Result<()> {
     // Handshake: magic + version in, status out.
     let mut hello = [0u8; 6];
     if !read_full(stream, &mut hello, shared, true)? {
@@ -444,10 +440,9 @@ enum Outcome {
     Batch(Vec<QueryResult>),
 }
 
-fn handle_request(shared: &Shared, conn: &mut ConnState, req: Request) -> Outcome {
-    let db = &shared.db;
+fn handle_request(shared: &Shared, conn: &mut ConnState<'_>, req: Request) -> Outcome {
     match req {
-        Request::Prepare { sql } => match db.prepare(&sql) {
+        Request::Prepare { sql } => match shared.db.prepare(&sql) {
             Ok(prepared) => {
                 let id = conn.next_stmt;
                 conn.next_stmt += 1;
@@ -462,8 +457,8 @@ fn handle_request(shared: &Shared, conn: &mut ConnState, req: Request) -> Outcom
             params,
             deadline_ms,
         } => {
-            let gov = governance_for(shared, deadline_ms);
-            match execute_stmt(db, conn, stmt, params, &gov) {
+            let run = conn.resolve(shared, stmt, deadline_ms);
+            match run.and_then(|p| conn.session.execute(&p, params)) {
                 Ok(ExecResult::Query(q)) => Outcome::Rows(q),
                 Ok(ExecResult::Affected(n)) => Outcome::One(Response::Affected(n as u64)),
                 Ok(ExecResult::Ack) => Outcome::One(ack(conn)),
@@ -475,8 +470,8 @@ fn handle_request(shared: &Shared, conn: &mut ConnState, req: Request) -> Outcom
             params,
             deadline_ms,
         } => {
-            let gov = governance_for(shared, deadline_ms);
-            match execute_stmt(db, conn, stmt, params, &gov).and_then(ExecResult::query) {
+            let run = conn.resolve(shared, stmt, deadline_ms);
+            match run.and_then(|p| conn.session.query(&p, params)) {
                 Ok(q) => Outcome::Rows(q),
                 Err(e) => Outcome::One(Response::Err(e)),
             }
@@ -486,12 +481,8 @@ fn handle_request(shared: &Shared, conn: &mut ConnState, req: Request) -> Outcom
             bindings,
             deadline_ms,
         } => {
-            let gov = governance_for(shared, deadline_ms);
-            let run = resolve_stmt(conn, db, stmt).and_then(|prepared| match conn.txn {
-                Some(txn) => db.execute_batch_in_governed(txn, &prepared, &bindings, &gov),
-                None => db.execute_batch_governed(&prepared, &bindings, &gov),
-            });
-            match run {
+            let run = conn.resolve(shared, stmt, deadline_ms);
+            match run.and_then(|p| conn.session.execute_batch(&p, bindings)) {
                 Ok(n) => Outcome::One(Response::Affected(n as u64)),
                 Err(e) => Outcome::One(Response::Err(e)),
             }
@@ -501,28 +492,15 @@ fn handle_request(shared: &Shared, conn: &mut ConnState, req: Request) -> Outcom
             bindings,
             deadline_ms,
         } => {
-            let gov = governance_for(shared, deadline_ms);
-            let run = resolve_stmt(conn, db, stmt).and_then(|prepared| match conn.txn {
-                Some(txn) => db.query_batch_in_governed(txn, &prepared, &bindings, &gov),
-                None => db.query_batch_governed(&prepared, &bindings, &gov),
-            });
-            match run {
+            let run = conn.resolve(shared, stmt, deadline_ms);
+            match run.and_then(|p| conn.session.query_batch(&p, bindings)) {
                 Ok(results) => Outcome::Batch(results),
                 Err(e) => Outcome::One(Response::Err(e)),
             }
         }
-        Request::Begin => Outcome::One(match txn_begin(db, conn) {
-            Ok(()) => ack(conn),
-            Err(e) => Response::Err(e),
-        }),
-        Request::Commit => Outcome::One(match txn_finish(db, conn, true) {
-            Ok(()) => ack(conn),
-            Err(e) => Response::Err(e),
-        }),
-        Request::Rollback => Outcome::One(match txn_finish(db, conn, false) {
-            Ok(()) => ack(conn),
-            Err(e) => Response::Err(e),
-        }),
+        Request::Begin => txn_control(conn, Session::begin),
+        Request::Commit => txn_control(conn, Session::commit),
+        Request::Rollback => txn_control(conn, Session::rollback),
         Request::CloseStmt { id } => Outcome::One(match conn.stmts.remove(&id) {
             Some(_) => ack(conn),
             None => Response::Err(Error::not_found(format!(
@@ -530,6 +508,14 @@ fn handle_request(shared: &Shared, conn: &mut ConnState, req: Request) -> Outcom
             ))),
         }),
     }
+}
+
+/// Runs one protocol-level transaction-control request on the session.
+fn txn_control<'a>(conn: &mut ConnState<'a>, op: fn(&mut Session<'a>) -> Result<()>) -> Outcome {
+    Outcome::One(match op(&mut conn.session) {
+        Ok(()) => ack(conn),
+        Err(e) => Response::Err(e),
+    })
 }
 
 /// The per-statement limits one request runs under: the server's configured
@@ -554,66 +540,28 @@ fn governance_for(shared: &Shared, deadline_ms: Option<u32>) -> Governance {
 
 /// An Ack reporting the connection's post-request transaction state — the
 /// server is authoritative, so clients track `in_txn` without parsing SQL.
-fn ack(conn: &ConnState) -> Response {
+fn ack(conn: &ConnState<'_>) -> Response {
     Response::Ack {
-        txn_open: conn.txn.is_some(),
+        txn_open: conn.session.in_transaction(),
     }
 }
 
-fn resolve_stmt(conn: &ConnState, db: &Database, stmt: StmtRef) -> Result<Prepared> {
-    match stmt {
-        StmtRef::Sql(sql) => db.prepare(&sql),
-        StmtRef::Id(id) => conn.stmts.get(&id).cloned().ok_or_else(|| {
-            Error::not_found(format!("prepared statement #{id} on this connection"))
-        }),
-    }
-}
-
-fn txn_begin(db: &Database, conn: &mut ConnState) -> Result<()> {
-    if conn.txn.is_some() {
-        return Err(Error::type_err("transaction already open on this connection"));
-    }
-    conn.txn = Some(db.begin());
-    Ok(())
-}
-
-fn txn_finish(db: &Database, conn: &mut ConnState, commit: bool) -> Result<()> {
-    let txn = conn
-        .txn
-        .take()
-        .ok_or_else(|| Error::type_err("no open transaction on this connection"))?;
-    if commit {
-        db.commit(txn)
-    } else {
-        db.rollback(txn)
-    }
-}
-
-/// Mirrors [`relstore::Session::execute`]: SQL-level `BEGIN` / `COMMIT` /
-/// `ROLLBACK` drive the connection's transaction; everything else runs
-/// inside the open transaction if there is one, else in autocommit mode.
-fn execute_stmt(
-    db: &Database,
-    conn: &mut ConnState,
-    stmt: StmtRef,
-    params: Vec<Value>,
-    gov: &Governance,
-) -> Result<ExecResult> {
-    let prepared = resolve_stmt(conn, db, stmt)?;
-    match prepared.statement() {
-        Statement::Begin | Statement::Commit | Statement::Rollback if !params.is_empty() => {
-            Err(Error::type_err(format!(
-                "transaction-control statements take no parameters, got {}",
-                params.len()
-            )))
+impl ConnState<'_> {
+    /// Resolves a request's statement and sets the limits it runs under on
+    /// the connection's session.
+    fn resolve(
+        &mut self,
+        shared: &Shared,
+        stmt: StmtRef,
+        deadline_ms: Option<u32>,
+    ) -> Result<Prepared> {
+        self.session.set_governance(governance_for(shared, deadline_ms));
+        match stmt {
+            StmtRef::Sql(sql) => shared.db.prepare(&sql),
+            StmtRef::Id(id) => self.stmts.get(&id).cloned().ok_or_else(|| {
+                Error::not_found(format!("prepared statement #{id} on this connection"))
+            }),
         }
-        Statement::Begin => txn_begin(db, conn).map(|()| ExecResult::Ack),
-        Statement::Commit => txn_finish(db, conn, true).map(|()| ExecResult::Ack),
-        Statement::Rollback => txn_finish(db, conn, false).map(|()| ExecResult::Ack),
-        _ => match conn.txn {
-            Some(txn) => db.execute_prepared_in_governed(txn, &prepared, &params, gov),
-            None => db.execute_prepared_governed(&prepared, &params, gov),
-        },
     }
 }
 

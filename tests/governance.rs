@@ -30,7 +30,9 @@ fn statement_deadline_cancels_a_scan_with_a_logic_class_timeout() {
         ..Governance::default()
     };
     let err = db
-        .query_governed("SELECT * FROM jobs WHERE state = 'idle'", &gov)
+        .session()
+        .with_governance(gov)
+        .query("SELECT * FROM jobs WHERE state = 'idle'", ())
         .unwrap_err();
     assert!(
         matches!(err, Error::Timeout { kind: TimeoutKind::Statement, .. }),
@@ -54,12 +56,13 @@ fn cancellation_token_stops_a_statement_from_another_thread() {
         check_interval: Some(1),
         ..Governance::default()
     };
-    let err = db.query_governed("SELECT * FROM jobs", &gov).unwrap_err();
+    let mut session = db.session().with_governance(gov);
+    let err = session.query("SELECT * FROM jobs", ()).unwrap_err();
     assert!(matches!(err, Error::Timeout { kind: TimeoutKind::Statement, .. }), "{err}");
 
     // Clearing the token lets the same governance run to completion.
     cancel.store(false, Ordering::Relaxed);
-    assert_eq!(db.query_governed("SELECT * FROM jobs", &gov).unwrap().rows.len(), 200);
+    assert_eq!(session.query("SELECT * FROM jobs", ()).unwrap().rows.len(), 200);
 }
 
 #[test]
@@ -70,7 +73,8 @@ fn row_and_byte_budgets_trip_before_rows_are_returned() {
         max_rows: Some(10),
         ..Governance::default()
     };
-    let err = db.query_governed("SELECT * FROM jobs", &rows).unwrap_err();
+    let mut rows = db.session().with_governance(rows);
+    let err = rows.query("SELECT * FROM jobs", ()).unwrap_err();
     assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
     assert_eq!(err.class(), ErrorClass::Logic);
 
@@ -78,13 +82,17 @@ fn row_and_byte_budgets_trip_before_rows_are_returned() {
         max_bytes: Some(64),
         ..Governance::default()
     };
-    let err = db.query_governed("SELECT * FROM jobs", &bytes).unwrap_err();
+    let err = db
+        .session()
+        .with_governance(bytes)
+        .query("SELECT * FROM jobs", ())
+        .unwrap_err();
     assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
 
     assert_eq!(db.stats().statements_over_budget, 2);
     // A point select fits comfortably inside both budgets.
-    let got = db
-        .query_governed("SELECT state FROM jobs WHERE job_id = 7", &rows)
+    let got = rows
+        .query("SELECT state FROM jobs WHERE job_id = 7", ())
         .unwrap();
     assert_eq!(got.rows.len(), 1);
 }
@@ -92,8 +100,8 @@ fn row_and_byte_budgets_trip_before_rows_are_returned() {
 #[test]
 fn bounded_lock_wait_outlasts_a_short_writer() {
     let db = db_with_rows(4);
-    let txn = db.begin();
-    db.execute_in(txn, "UPDATE jobs SET state = 'held' WHERE job_id = 0").unwrap();
+    let txn = db.transaction();
+    txn.execute("UPDATE jobs SET state = 'held' WHERE job_id = 0", ()).unwrap();
 
     // A second writer with a generous lock-wait budget blocks while the
     // first transaction holds the table lock, then proceeds once it
@@ -105,10 +113,12 @@ fn bounded_lock_wait_outlasts_a_short_writer() {
                 lock_wait: Some(Duration::from_secs(5)),
                 ..Governance::default()
             };
-            db.execute_governed("UPDATE jobs SET state = 'won' WHERE job_id = 1", &gov)
+            db.session()
+                .with_governance(gov)
+                .execute("UPDATE jobs SET state = 'won' WHERE job_id = 1", ())
         });
         std::thread::sleep(Duration::from_millis(40));
-        db.commit(txn).unwrap();
+        txn.commit().unwrap();
         waiter.join().unwrap().unwrap();
     });
 
@@ -125,15 +135,17 @@ fn bounded_lock_wait_outlasts_a_short_writer() {
 #[test]
 fn bounded_lock_wait_expires_with_a_retryable_timeout() {
     let db = db_with_rows(4);
-    let txn = db.begin();
-    db.execute_in(txn, "UPDATE jobs SET state = 'held' WHERE job_id = 0").unwrap();
+    let txn = db.transaction();
+    txn.execute("UPDATE jobs SET state = 'held' WHERE job_id = 0", ()).unwrap();
 
     let gov = Governance {
         lock_wait: Some(Duration::from_millis(20)),
         ..Governance::default()
     };
     let err = db
-        .execute_governed("UPDATE jobs SET state = 'lost' WHERE job_id = 1", &gov)
+        .session()
+        .with_governance(gov)
+        .execute("UPDATE jobs SET state = 'lost' WHERE job_id = 1", ())
         .unwrap_err();
     assert!(matches!(err, Error::Timeout { kind: TimeoutKind::LockWait, .. }), "{err}");
     assert_eq!(err.class(), ErrorClass::Retryable);
@@ -147,14 +159,14 @@ fn bounded_lock_wait_expires_with_a_retryable_timeout() {
         .execute("UPDATE jobs SET state = 'lost' WHERE job_id = 1")
         .unwrap_err();
     assert!(matches!(err, Error::LockConflict(_)), "{err}");
-    db.rollback(txn).unwrap();
+    txn.rollback().unwrap();
 }
 
 #[test]
 fn a_statement_deadline_caps_the_lock_wait_too() {
     let db = db_with_rows(4);
-    let txn = db.begin();
-    db.execute_in(txn, "UPDATE jobs SET state = 'held' WHERE job_id = 0").unwrap();
+    let txn = db.transaction();
+    txn.execute("UPDATE jobs SET state = 'held' WHERE job_id = 0", ()).unwrap();
 
     // The statement deadline (20ms) is tighter than the lock-wait budget
     // (10s): the waiter must give up when the *statement* expires rather
@@ -166,11 +178,13 @@ fn a_statement_deadline_caps_the_lock_wait_too() {
     };
     let start = std::time::Instant::now();
     let err = db
-        .execute_governed("UPDATE jobs SET state = 'lost' WHERE job_id = 1", &gov)
+        .session()
+        .with_governance(gov)
+        .execute("UPDATE jobs SET state = 'lost' WHERE job_id = 1", ())
         .unwrap_err();
     assert!(start.elapsed() < Duration::from_secs(5), "deadline must cut the wait short");
     assert!(matches!(err, Error::Timeout { .. }), "{err}");
-    db.rollback(txn).unwrap();
+    txn.rollback().unwrap();
 }
 
 #[test]
@@ -179,17 +193,17 @@ fn reaper_aborts_idle_transactions_and_releases_their_locks() {
     db.execute("CREATE TABLE side (id INT PRIMARY KEY, v TEXT)").unwrap();
     db.execute("INSERT INTO side VALUES (1, 'start')").unwrap();
 
-    let abandoned = db.begin();
-    db.execute_in(abandoned, "UPDATE jobs SET state = 'zombie' WHERE job_id = 0").unwrap();
+    let abandoned = db.transaction();
+    abandoned.execute("UPDATE jobs SET state = 'zombie' WHERE job_id = 0", ()).unwrap();
 
     // A transaction that keeps executing statements (on its own table —
     // write locks are table-level) is *not* idle and must survive the
     // reaper no matter how long ago it began.
-    let live = db.begin();
-    db.execute_in(live, "UPDATE side SET v = 'busy' WHERE id = 1").unwrap();
+    let live = db.transaction();
+    live.execute("UPDATE side SET v = 'busy' WHERE id = 1", ()).unwrap();
 
     std::thread::sleep(Duration::from_millis(30));
-    db.execute_in(live, "UPDATE side SET v = 'busy2' WHERE id = 1").unwrap();
+    live.execute("UPDATE side SET v = 'busy2' WHERE id = 1", ()).unwrap();
     let reaped = db.reap_idle(Duration::from_millis(25));
     assert_eq!(reaped, 1, "exactly the abandoned transaction is reaped");
     assert_eq!(db.stats().txns_reaped, 1);
@@ -197,8 +211,8 @@ fn reaper_aborts_idle_transactions_and_releases_their_locks() {
     // The zombie's lock is gone (a new writer gets through), its update is
     // undone, and finishing it reports the transaction as closed.
     db.execute("UPDATE jobs SET state = 'fresh' WHERE job_id = 0").unwrap();
-    assert!(matches!(db.commit(abandoned).unwrap_err(), Error::TxnClosed(_)));
-    db.commit(live).unwrap();
+    assert!(matches!(abandoned.commit().unwrap_err(), Error::TxnClosed(_)));
+    live.commit().unwrap();
 
     let state: Vec<String> = db
         .session()
@@ -216,8 +230,8 @@ fn reaper_aborts_idle_transactions_and_releases_their_locks() {
 #[test]
 fn reaping_unpins_the_vacuum_horizon() {
     let db = db_with_rows(8);
-    let pinner = db.begin();
-    db.execute_in(pinner, "SELECT * FROM jobs").unwrap();
+    let pinner = db.transaction();
+    pinner.execute("SELECT * FROM jobs", ()).unwrap();
 
     // Churn some versions while the idle reader pins the horizon.
     for _ in 0..3 {
@@ -392,11 +406,9 @@ fn join_loops_are_governed() {
         max_rows: Some(1_000),
         ..Governance::default()
     };
-    let err = db
-        .query_governed(
-            "SELECT COUNT(*) FROM jobs JOIN mirror ON jobs.job_id < mirror.id",
-            &rows,
-        )
+    let mut rows = db.session().with_governance(rows);
+    let err = rows
+        .query("SELECT COUNT(*) FROM jobs JOIN mirror ON jobs.job_id < mirror.id", ())
         .unwrap_err();
     assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
 
@@ -405,18 +417,17 @@ fn join_loops_are_governed() {
         ..Governance::default()
     };
     let err = db
-        .query_governed(
-            "SELECT COUNT(*) FROM jobs JOIN mirror ON jobs.job_id < mirror.id",
-            &deadline,
-        )
+        .session()
+        .with_governance(deadline)
+        .query("SELECT COUNT(*) FROM jobs JOIN mirror ON jobs.job_id < mirror.id", ())
         .unwrap_err();
     assert!(matches!(err, Error::Timeout { kind: TimeoutKind::Statement, .. }), "{err}");
 
     // A selective equi-join fits the same row budget.
-    let r = db
-        .query_governed(
+    let r = rows
+        .query(
             "SELECT COUNT(*) FROM jobs JOIN mirror ON jobs.job_id = mirror.id WHERE jobs.job_id = 3",
-            &rows,
+            (),
         )
         .unwrap();
     assert_eq!(r.scalar_int().unwrap(), 1);

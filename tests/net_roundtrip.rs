@@ -4,7 +4,7 @@
 
 use cluster_sim::{ClusterSpec, JobSpec, SimDuration, SimTime};
 use condorj2::{CondorJ2Config, CondorJ2Simulation};
-use relstore::{Database, Error, FromRow, RowView};
+use relstore::{Database, Error, ErrorClass, ExecResult, FromRow, QueryResult, RowView, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use wire::{serve, serve_with, Client, ClientPool, ServerConfig};
@@ -503,5 +503,224 @@ fn explain_and_analyze_are_transport_agnostic() {
     let sql = "SELECT * FROM rel_table_stats ORDER BY table_name, column_name";
     assert_eq!(client.query(sql, ()).unwrap(), db.query(sql).unwrap());
 
+    server.shutdown();
+}
+
+/// The statement surface the transport-parity script drives, implemented
+/// by an embedded [`relstore::Session`] and by a remote [`Client`].
+trait Conn {
+    fn begin(&mut self) -> relstore::Result<()>;
+    fn commit(&mut self) -> relstore::Result<()>;
+    fn rollback(&mut self) -> relstore::Result<()>;
+    fn execute(&mut self, sql: &str, params: Vec<Value>) -> relstore::Result<ExecResult>;
+    fn execute_batch(&mut self, sql: &str, bindings: Vec<Vec<Value>>) -> relstore::Result<usize>;
+    fn query_batch(
+        &mut self,
+        sql: &str,
+        bindings: Vec<Vec<Value>>,
+    ) -> relstore::Result<Vec<QueryResult>>;
+    fn in_transaction(&self) -> bool;
+}
+
+impl Conn for relstore::Session<'_> {
+    fn begin(&mut self) -> relstore::Result<()> {
+        relstore::Session::begin(self)
+    }
+    fn commit(&mut self) -> relstore::Result<()> {
+        relstore::Session::commit(self)
+    }
+    fn rollback(&mut self) -> relstore::Result<()> {
+        relstore::Session::rollback(self)
+    }
+    fn execute(&mut self, sql: &str, params: Vec<Value>) -> relstore::Result<ExecResult> {
+        relstore::Session::execute(self, sql, params)
+    }
+    fn execute_batch(&mut self, sql: &str, bindings: Vec<Vec<Value>>) -> relstore::Result<usize> {
+        let stmt = self.database().prepare(sql)?;
+        relstore::Session::execute_batch(self, &stmt, bindings)
+    }
+    fn query_batch(
+        &mut self,
+        sql: &str,
+        bindings: Vec<Vec<Value>>,
+    ) -> relstore::Result<Vec<QueryResult>> {
+        let stmt = self.database().prepare(sql)?;
+        relstore::Session::query_batch(self, &stmt, bindings)
+    }
+    fn in_transaction(&self) -> bool {
+        relstore::Session::in_transaction(self)
+    }
+}
+
+impl Conn for Client {
+    fn begin(&mut self) -> relstore::Result<()> {
+        Client::begin(self)
+    }
+    fn commit(&mut self) -> relstore::Result<()> {
+        Client::commit(self)
+    }
+    fn rollback(&mut self) -> relstore::Result<()> {
+        Client::rollback(self)
+    }
+    fn execute(&mut self, sql: &str, params: Vec<Value>) -> relstore::Result<ExecResult> {
+        Client::execute(self, sql, params)
+    }
+    fn execute_batch(&mut self, sql: &str, bindings: Vec<Vec<Value>>) -> relstore::Result<usize> {
+        Client::execute_batch(self, sql, bindings)
+    }
+    fn query_batch(
+        &mut self,
+        sql: &str,
+        bindings: Vec<Vec<Value>>,
+    ) -> relstore::Result<Vec<QueryResult>> {
+        Client::query_batch(self, sql, bindings)
+    }
+    fn in_transaction(&self) -> bool {
+        Client::in_transaction(self)
+    }
+}
+
+/// What one scripted step produced.
+#[derive(Debug, PartialEq)]
+enum Out {
+    Done,
+    Exec(ExecResult),
+    Count(usize),
+    Batch(Vec<QueryResult>),
+}
+
+/// One step's observation: its outcome, with errors reduced to their class
+/// (message text may differ by transport, classes must not), and whether a
+/// transaction was open afterwards.
+type Observed = (&'static str, Result<Out, ErrorClass>, bool);
+
+const PARITY_INSERT: &str = "INSERT INTO parity VALUES (?, ?)";
+
+/// Drives the transaction-control script through fresh connections from
+/// `connect`. `abandon` opens its own connection, begins a transaction,
+/// inserts row 9 and drops the connection without committing.
+fn run_parity_script<'a>(
+    connect: &dyn Fn() -> Box<dyn Conn + 'a>,
+    abandon: &dyn Fn(),
+) -> Vec<Observed> {
+    let mut log = Vec::new();
+    let mut note = |name, c: &dyn Conn, r: relstore::Result<Out>| {
+        log.push((name, r.map_err(|e| e.class()), c.in_transaction()));
+    };
+    let count = "SELECT COUNT(*) AS n FROM parity";
+    let row = |id: i64, v: &str| vec![Value::Int(id), Value::from(v)];
+
+    let mut c = connect();
+    let r = c.begin().map(|()| Out::Done);
+    note("protocol begin", &*c, r);
+    let r = c.execute(PARITY_INSERT, row(1, "a")).map(Out::Exec);
+    note("insert in txn", &*c, r);
+    let r = c.begin().map(|()| Out::Done);
+    note("protocol begin twice", &*c, r);
+    let r = c.execute("BEGIN", vec![]).map(Out::Exec);
+    note("SQL BEGIN while open", &*c, r);
+    let r = c.commit().map(|()| Out::Done);
+    note("protocol commit", &*c, r);
+    let r = c.execute("COMMIT", vec![]).map(Out::Exec);
+    note("SQL COMMIT with none open", &*c, r);
+    let r = c.commit().map(|()| Out::Done);
+    note("protocol commit with none open", &*c, r);
+    let r = c.rollback().map(|()| Out::Done);
+    note("protocol rollback with none open", &*c, r);
+    let r = c.execute("BEGIN", vec![Value::Int(1)]).map(Out::Exec);
+    note("SQL BEGIN with parameters", &*c, r);
+    let r = c.execute("BEGIN", vec![]).map(Out::Exec);
+    note("SQL BEGIN", &*c, r);
+    let r = c
+        .execute_batch(PARITY_INSERT, vec![row(2, "b"), row(3, "c"), row(4, "d")])
+        .map(Out::Count);
+    note("execute_batch in txn", &*c, r);
+    let ids = (2..=5).map(|id| vec![Value::Int(id)]).collect();
+    let r = c
+        .query_batch("SELECT v FROM parity WHERE id = ?", ids)
+        .map(Out::Batch);
+    note("query_batch in txn", &*c, r);
+    let r = c.execute(count, vec![]).map(Out::Exec);
+    note("count in txn", &*c, r);
+    let r = c.execute("ROLLBACK", vec![]).map(Out::Exec);
+    note("SQL ROLLBACK", &*c, r);
+    let r = c.execute(count, vec![]).map(Out::Exec);
+    note("count after rollback", &*c, r);
+    drop(c);
+
+    abandon();
+    let mut c = connect();
+    let r = c.execute("SELECT * FROM parity WHERE id = 9", vec![]).map(Out::Exec);
+    note("abandoned row invisible", &*c, r);
+    // The abandoned transaction's table lock must be released: a new
+    // writer of the same key gets through (retrying while a remote server
+    // has yet to observe the close).
+    let r = relstore::retry_with_backoff(50, || c.execute(PARITY_INSERT, row(9, "kept")))
+        .map(Out::Exec);
+    note("abandoned lock released", &*c, r);
+    let r = c.execute("SELECT * FROM parity ORDER BY id", vec![]).map(Out::Exec);
+    note("final contents", &*c, r);
+    log
+}
+
+/// Transaction control is one implementation: the embedded `Session` and
+/// the TCP server (which serves each connection through a `Session`) give
+/// the same results and the same error classes for the same script,
+/// including a connection dropped mid-transaction without a rollback.
+#[test]
+fn embedded_and_tcp_transaction_control_agree() {
+    let schema = "CREATE TABLE parity (id INT PRIMARY KEY, v TEXT)";
+    let embedded = Database::new();
+    embedded.execute(schema).unwrap();
+    let served = Arc::new(Database::new());
+    served.execute(schema).unwrap();
+    let server = serve(Arc::clone(&served), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+
+    let local = run_parity_script(
+        &|| Box::new(embedded.session()),
+        &|| {
+            let mut s = embedded.session();
+            s.begin().unwrap();
+            s.execute(PARITY_INSERT, (9i64, "lost")).unwrap();
+        },
+    );
+    let remote = run_parity_script(
+        &|| Box::new(Client::connect(addr).unwrap()),
+        &|| {
+            // A hand-rolled client that vanishes mid-transaction without
+            // the best-effort Rollback a dropped `Client` sends: the
+            // server's per-connection session must roll back on its own.
+            let mut raw = std::net::TcpStream::connect(addr).unwrap();
+            wire::protocol::write_hello(&mut raw).unwrap();
+            wire::protocol::read_handshake_response(&mut raw).unwrap();
+            for req in [
+                wire::Request::Begin,
+                wire::Request::Execute {
+                    stmt: wire::StmtRef::Sql(PARITY_INSERT.into()),
+                    params: vec![Value::Int(9), Value::from("lost")],
+                    deadline_ms: None,
+                },
+            ] {
+                wire::protocol::write_frame(&mut raw, &req.encode()).unwrap();
+                let resp = wire::protocol::read_frame(&mut raw).unwrap();
+                let resp = wire::Response::decode(&resp).unwrap();
+                assert!(!matches!(resp, wire::Response::Err(_)), "{resp:?}");
+            }
+        },
+    );
+
+    assert_eq!(local.len(), remote.len());
+    for (l, r) in local.iter().zip(&remote) {
+        assert_eq!(l, r, "embedded and TCP diverged at step {:?}", l.0);
+    }
+    // Spot-check the script observed what it claims to.
+    let outcome = |name| &local.iter().find(|o| o.0 == name).unwrap().1;
+    assert_eq!(outcome("protocol begin twice"), &Err(ErrorClass::Logic));
+    assert_eq!(outcome("SQL COMMIT with none open"), &Err(ErrorClass::Logic));
+    assert_eq!(outcome("execute_batch in txn"), &Ok(Out::Count(3)));
+    assert!(matches!(outcome("abandoned row invisible"), Ok(Out::Exec(ExecResult::Query(q))) if q.is_empty()));
+    assert_eq!(served.table_len("parity").unwrap(), 2);
+    assert_eq!(embedded.table_len("parity").unwrap(), 2);
     server.shutdown();
 }

@@ -149,7 +149,7 @@ proptest! {
         }
         let before = db.query("SELECT * FROM jobs ORDER BY job_id").unwrap();
 
-        let txn = db.begin();
+        let txn = db.transaction();
         for op in &ops {
             let sql = match op {
                 Op::Insert { id, state, runtime } => format!(
@@ -160,9 +160,9 @@ proptest! {
                 ),
                 Op::Delete { id } => format!("DELETE FROM jobs WHERE job_id = {id}"),
             };
-            let _ = db.execute_in(txn, &sql);
+            let _ = txn.execute(sql.as_str(), ());
         }
-        db.rollback(txn).unwrap();
+        txn.rollback().unwrap();
 
         let after = db.query("SELECT * FROM jobs ORDER BY job_id").unwrap();
         prop_assert_eq!(before, after);

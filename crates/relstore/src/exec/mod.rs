@@ -9,6 +9,7 @@
 mod aggregate;
 mod select;
 
+pub(crate) use select::get_table;
 pub use select::{
     execute_select, execute_select_opts, execute_select_with, matching_row_ids,
     matching_row_ids_with, Catalog, ExecOptions,

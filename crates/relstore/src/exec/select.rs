@@ -42,7 +42,8 @@ use std::sync::Arc;
 /// The catalog type the executor reads from.
 pub type Catalog = BTreeMap<String, Table>;
 
-fn get_table<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a Table> {
+/// Looks a table up by name, case-insensitively.
+pub(crate) fn get_table<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a Table> {
     // Catalog keys are lower-case; lower_name skips the per-lookup
     // allocation for the common case of an already-lower-case name.
     catalog

@@ -1,14 +1,20 @@
-//! Binary encoding of logical WAL records: hand-rolled, serde-free.
+//! The workspace's one binary encoding: hand-rolled, serde-free.
 //!
-//! This mirrors the `crates/wire` codec idiom — little-endian fixed-width
+//! Both byte formats the engine owns are built here: the durable log (WAL
+//! records and checkpoint snapshots, framed by [`super::record`]) and the
+//! `wire` crate's network protocol, whose frames use these primitives and
+//! this [`Value`] encoding. Everything is little-endian fixed-width
 //! integers and length-prefixed strings appended to a `Vec<u8>`, read back
-//! through a bounds-checked [`Reader`] — but lives in `relstore` because the
-//! wire crate depends on this one. Decoding a damaged log **never panics**:
-//! a truncated buffer, an oversized length prefix or an unknown tag surfaces
-//! as a clean [`Error::Corruption`]. (The record framing in
-//! [`super::record`] decides whether damage is a repairable torn tail or
-//! hard corruption; by the time payload decoding runs, the payload has
-//! already passed its CRC, so any decode failure here is corruption.)
+//! through a bounds-checked [`Reader`].
+//!
+//! Decoding damaged or hostile bytes **never panics**: a truncated buffer,
+//! an oversized length prefix or an unknown tag surfaces as a clean
+//! [`Error::Corruption`] with a neutral message. Which error kind the
+//! caller reports is the caller's decision. The log reports it as
+//! corruption: by the time payload decoding runs the payload has passed its
+//! CRC, and the record framing has already told a repairable torn tail from
+//! hard damage. The wire protocol maps it to [`Error::Net`] where it
+//! decodes a frame.
 
 use crate::error::{Error, Result};
 use crate::schema::{Column, IndexDef, Schema};
@@ -60,8 +66,9 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Appends one [`Value`] as a tag byte plus its payload (same tag scheme as
-/// the wire protocol: 0=Null 1=Int 2=Double 3=Text 4=Bool 5=Timestamp).
+/// Appends one [`Value`] as a tag byte plus its payload (0=Null 1=Int
+/// 2=Double 3=Text 4=Bool 5=Timestamp), the same bytes in a WAL record and
+/// in a wire frame.
 pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => put_u8(buf, 0),
@@ -88,12 +95,18 @@ pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
     }
 }
 
-/// Appends one row (u16 value count + values).
-pub fn put_row(buf: &mut Vec<u8>, row: &Row) {
-    put_u16(buf, row.values.len() as u16);
-    for v in &row.values {
+/// Appends a value list (u16 count + values): a row, or a statement's
+/// parameter bindings.
+pub fn put_values(buf: &mut Vec<u8>, values: &[Value]) {
+    put_u16(buf, values.len() as u16);
+    for v in values {
         put_value(buf, v);
     }
+}
+
+/// Appends one row: its values as a [`put_values`] list.
+pub fn put_row(buf: &mut Vec<u8>, row: &Row) {
+    put_values(buf, &row.values);
 }
 
 fn put_data_type(buf: &mut Vec<u8>, ty: DataType) {
@@ -210,12 +223,13 @@ pub fn put_record(buf: &mut Vec<u8>, record: &LogRecord) {
 
 // --- reading -----------------------------------------------------------------
 
-/// A bounds-checked cursor over one decoded record payload.
+/// A bounds-checked cursor over one payload (a WAL record or a wire frame).
 ///
 /// Every accessor returns [`Error::Corruption`] instead of panicking when
 /// the buffer is shorter than the encoding claims, and collection counts are
 /// validated against the bytes actually remaining before anything is
-/// allocated, so a damaged length prefix cannot force a huge allocation.
+/// allocated (see [`Reader::count`]), so a damaged or hostile length prefix
+/// cannot force a huge allocation.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -223,7 +237,7 @@ pub struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    /// Creates a reader over one record payload.
+    /// Creates a reader over one payload.
     pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
@@ -233,10 +247,25 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
+    /// Checks a collection count read from the payload before anything is
+    /// allocated for it. Each of the `n` elements takes at least
+    /// `min_bytes_each` bytes, so a count that the remaining bytes cannot
+    /// hold is rejected; `what` names the collection in the error.
+    pub fn count(&self, n: impl Into<u64>, min_bytes_each: usize, what: &str) -> Result<usize> {
+        let n = n.into();
+        if n > (self.remaining() / min_bytes_each) as u64 {
+            return Err(Error::corruption(format!(
+                "truncated payload: {what} claims {n} element(s), {} byte(s) remain",
+                self.remaining()
+            )));
+        }
+        Ok(n as usize)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(Error::corruption(format!(
-                "truncated record payload: wanted {n} more byte(s), {} remain",
+                "truncated payload: wanted {n} more byte(s), {} remain",
                 self.remaining()
             )));
         }
@@ -280,12 +309,12 @@ impl<'a> Reader<'a> {
         let n = self.u32()? as usize;
         if n > self.remaining() {
             return Err(Error::corruption(format!(
-                "truncated record payload: string claims {n} byte(s), {} remain",
+                "truncated payload: string claims {n} byte(s), {} remain",
                 self.remaining()
             )));
         }
         std::str::from_utf8(self.take(n)?)
-            .map_err(|e| Error::corruption(format!("record carries invalid UTF-8: {e}")))
+            .map_err(|e| Error::corruption(format!("payload carries invalid UTF-8: {e}")))
     }
 
     /// Reads one [`Value`].
@@ -305,21 +334,21 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads one row, validating the value count against the bytes
-    /// remaining before allocating.
-    pub fn row(&mut self) -> Result<Row> {
-        let n = self.u16()? as usize;
-        if n > self.remaining() {
-            return Err(Error::corruption(format!(
-                "truncated record payload: row claims {n} value(s), {} byte(s) remain",
-                self.remaining()
-            )));
-        }
+    /// Reads a u16-counted value list, validating the count against the
+    /// bytes remaining before allocating.
+    pub fn values(&mut self) -> Result<Vec<Value>> {
+        let n = self.u16()?;
+        let n = self.count(n, 1, "value list")?;
         let mut values = Vec::with_capacity(n);
         for _ in 0..n {
             values.push(self.value()?);
         }
-        Ok(Row::new(values))
+        Ok(values)
+    }
+
+    /// Reads one row.
+    pub fn row(&mut self) -> Result<Row> {
+        Ok(Row::new(self.values()?))
     }
 
     fn data_type(&mut self) -> Result<DataType> {
@@ -344,13 +373,8 @@ impl<'a> Reader<'a> {
     /// Reads one table schema.
     pub fn schema(&mut self) -> Result<Schema> {
         let name = self.str()?.to_string();
-        let col_count = self.u16()? as usize;
-        if col_count > self.remaining() {
-            return Err(Error::corruption(format!(
-                "schema claims {col_count} column(s), {} byte(s) remain",
-                self.remaining()
-            )));
-        }
+        let col_count = self.u16()?;
+        let col_count = self.count(col_count, 1, "schema column list")?;
         let mut columns = Vec::with_capacity(col_count);
         for _ in 0..col_count {
             let col_name = self.str()?.to_string();
@@ -363,13 +387,8 @@ impl<'a> Reader<'a> {
             });
         }
         let primary_key = if self.bool()? { Some(self.str()?.to_string()) } else { None };
-        let idx_count = self.u16()? as usize;
-        if idx_count > self.remaining() {
-            return Err(Error::corruption(format!(
-                "schema claims {idx_count} index(es), {} byte(s) remain",
-                self.remaining()
-            )));
-        }
+        let idx_count = self.u16()?;
+        let idx_count = self.count(idx_count, 1, "schema index list")?;
         let mut indexes = Vec::with_capacity(idx_count);
         for _ in 0..idx_count {
             indexes.push(IndexDef {
@@ -385,13 +404,8 @@ impl<'a> Reader<'a> {
     pub fn snapshot(&mut self) -> Result<TableSnapshot> {
         let schema = self.schema()?;
         let row_count = self.u64()?;
-        if row_count > self.remaining() as u64 {
-            return Err(Error::corruption(format!(
-                "snapshot claims {row_count} row(s), {} byte(s) remain",
-                self.remaining()
-            )));
-        }
-        let mut rows = Vec::with_capacity(row_count as usize);
+        let row_count = self.count(row_count, 1, "snapshot")?;
+        let mut rows = Vec::with_capacity(row_count);
         for _ in 0..row_count {
             let row_id = RowId(self.u64()?);
             rows.push((row_id, self.row()?));
@@ -443,13 +457,8 @@ impl<'a> Reader<'a> {
             }),
             9 => {
                 let txn = TxnId(self.u64()?);
-                let count = self.u32()? as usize;
-                if count > self.remaining() {
-                    return Err(Error::corruption(format!(
-                        "batch claims {count} change(s), {} byte(s) remain",
-                        self.remaining()
-                    )));
-                }
+                let count = self.u32()?;
+                let count = self.count(count, 1, "batch")?;
                 let mut changes = Vec::with_capacity(count);
                 for _ in 0..count {
                     changes.push(self.record_at_depth(depth + 1)?);
@@ -457,13 +466,8 @@ impl<'a> Reader<'a> {
                 Ok(LogRecord::Batch { txn, changes })
             }
             10 => {
-                let count = self.u32()? as usize;
-                if count > self.remaining() {
-                    return Err(Error::corruption(format!(
-                        "checkpoint claims {count} table(s), {} byte(s) remain",
-                        self.remaining()
-                    )));
-                }
+                let count = self.u32()?;
+                let count = self.count(count, 1, "checkpoint")?;
                 let mut snapshot = Vec::with_capacity(count);
                 for _ in 0..count {
                     snapshot.push(self.snapshot()?);
@@ -474,12 +478,13 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Fails unless every payload byte was consumed — trailing garbage in a
-    /// CRC-valid record still counts as corruption, never silently ignored.
+    /// Fails unless every payload byte was consumed — trailing garbage (in
+    /// a CRC-valid record or a received frame) is an error, never silently
+    /// ignored data.
     pub fn expect_end(&self) -> Result<()> {
         if self.remaining() != 0 {
             return Err(Error::corruption(format!(
-                "record payload carries {} unexpected trailing byte(s)",
+                "payload carries {} unexpected trailing byte(s)",
                 self.remaining()
             )));
         }
@@ -622,5 +627,99 @@ mod tests {
         let mut r = Reader::new(&buf);
         r.record().unwrap();
         assert!(r.expect_end().is_err());
+    }
+
+    #[test]
+    fn primitives_round_trip() {
+        let mut buf = Vec::new();
+        put_u8(&mut buf, 7);
+        put_u16(&mut buf, 300);
+        put_u32(&mut buf, 70_000);
+        put_u64(&mut buf, u64::MAX);
+        put_i64(&mut buf, -42);
+        put_f64(&mut buf, -0.5);
+        put_str(&mut buf, "héllo\0world");
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.u16().unwrap(), 300);
+        assert_eq!(r.u32().unwrap(), 70_000);
+        assert_eq!(r.u64().unwrap(), u64::MAX);
+        assert_eq!(r.i64().unwrap(), -42);
+        assert_eq!(r.f64().unwrap(), -0.5);
+        assert_eq!(r.str().unwrap(), "héllo\0world");
+        r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn values_round_trip_including_non_finite_floats() {
+        let values = vec![
+            Value::Null,
+            Value::Int(i64::MIN),
+            Value::Double(f64::NAN),
+            Value::Double(f64::NEG_INFINITY),
+            Value::Text("".into()),
+            Value::Text("a\0b".into()),
+            Value::Bool(true),
+            Value::Timestamp(-1),
+        ];
+        let mut buf = Vec::new();
+        put_values(&mut buf, &values);
+        let decoded = Reader::new(&buf).values().unwrap();
+        assert_eq!(decoded.len(), values.len());
+        for (d, v) in decoded.iter().zip(&values) {
+            match (d, v) {
+                (Value::Double(a), Value::Double(b)) => {
+                    assert_eq!(a.to_bits(), b.to_bits(), "doubles round-trip bit-exactly")
+                }
+                _ => assert_eq!(d, v),
+            }
+        }
+    }
+
+    #[test]
+    fn truncation_and_bad_tags_error_cleanly() {
+        let mut buf = Vec::new();
+        put_value(&mut buf, &Value::Text("abcdef".into()));
+        // Every strict prefix fails with the codec's one error kind, never
+        // a panic.
+        for cut in 0..buf.len() {
+            let err = Reader::new(&buf[..cut]).value().unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "prefix {cut}: {err}");
+        }
+        // Unknown tag.
+        assert!(Reader::new(&[9u8]).value().is_err());
+        // Invalid bool payload.
+        assert!(Reader::new(&[4u8, 2]).value().is_err());
+        // A value-list count larger than the remaining bytes is rejected
+        // before any allocation happens.
+        let mut buf = Vec::new();
+        put_u16(&mut buf, u16::MAX);
+        assert!(Reader::new(&buf).values().is_err());
+        // Invalid UTF-8 in a string payload.
+        let mut buf = Vec::new();
+        put_u8(&mut buf, 3);
+        put_u32(&mut buf, 2);
+        buf.extend_from_slice(&[0xff, 0xfe]);
+        assert!(Reader::new(&buf).value().is_err());
+        // Trailing bytes are an error.
+        let mut buf = Vec::new();
+        put_value(&mut buf, &Value::Int(1));
+        put_u8(&mut buf, 0);
+        let mut r = Reader::new(&buf);
+        r.value().unwrap();
+        assert!(r.expect_end().is_err());
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_remaining() {
+        let r = Reader::new(&[0u8; 8]);
+        assert_eq!(r.count(8u32, 1, "list").unwrap(), 8);
+        assert!(r.count(9u32, 1, "list").is_err());
+        assert_eq!(r.count(4u16, 2, "list").unwrap(), 4);
+        assert!(r.count(5u16, 2, "list").is_err());
+        assert_eq!(r.count(2u64, 4, "list").unwrap(), 2);
+        let err = r.count(u64::MAX, 4, "column list").unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "{err}");
+        assert!(err.to_string().contains("column list"), "{err}");
     }
 }

@@ -18,8 +18,8 @@
 //! executor re-applies the full predicate, so stale stats can cost time but
 //! never correctness.
 
-use crate::error::{Error, Result};
-use crate::exec::{Catalog, QueryResult};
+use crate::error::Result;
+use crate::exec::{get_table, Catalog, QueryResult};
 use crate::mvcc::Snapshot;
 use crate::predicate::Expr;
 use crate::sql::ast::{SelectItem, SelectStmt};
@@ -313,12 +313,6 @@ pub struct SelectPlan {
     /// True when `steps` is not in syntactic order — the executor must then
     /// restore syntactic column order for `SELECT *`.
     pub reordered: bool,
-}
-
-fn get_table<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a Table> {
-    catalog
-        .get(crate::schema::lower_name(name).as_ref())
-        .ok_or_else(|| Error::not_found(format!("table {name}")))
 }
 
 /// Resolves a column reference to the (lower-case) table in `scope` that

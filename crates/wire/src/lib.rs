@@ -10,9 +10,10 @@
 //!   `ExecuteBatch` / `QueryBatch` / `Begin` / `Commit` / `Rollback`,
 //!   streamed row pages for large results, and an error frame that carries
 //!   the engine's [`Error`](relstore::Error) variant *and* class — a remote
-//!   write-write conflict is just as retryable as an embedded one. The
-//!   codec ([`codec`]) is hand-rolled put/get over byte buffers (like the
-//!   WAL — no serialization framework) and never panics on hostile input;
+//!   write-write conflict is just as retryable as an embedded one. Frames
+//!   are encoded with [`relstore::io::codec`], the hand-rolled codec the
+//!   WAL also writes (no serialization framework), which never panics on
+//!   hostile input;
 //! * a **threaded TCP server** ([`server`], [`serve`]): an accept loop with
 //!   admission control feeding a worker pool, per-connection
 //!   prepared-statement handles, at most one open transaction per
@@ -87,7 +88,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod codec;
 pub mod protocol;
 pub mod server;
 

@@ -2,10 +2,11 @@
 //!
 //! Every message is one *frame*: a little-endian u32 payload length followed
 //! by the payload, whose first byte is the opcode. Payloads are encoded with
-//! the [`crate::codec`] primitives. A connection starts with a versioned
-//! handshake (magic + protocol version from the client, a status byte back
-//! from the server), after which the client sends [`Request`] frames and the
-//! server answers each with one or more [`Response`] frames:
+//! [`relstore::io::codec`], the codec the WAL writes, so a value has one
+//! byte encoding in a frame and in the log. A connection starts with a
+//! versioned handshake (magic + protocol version from the client, a status
+//! byte back from the server), after which the client sends [`Request`]
+//! frames and the server answers each with one or more [`Response`] frames:
 //!
 //! * most requests produce exactly one response;
 //! * a query produces a [`Response::RowsHeader`] followed by one or more
@@ -18,9 +19,14 @@
 //!   caller can branch on [`Error::is_retryable`] exactly like an embedded
 //!   one (a write-write conflict stays retryable across the wire).
 
-use crate::codec::{self, Reader, MAX_FRAME};
+use relstore::io::codec::{self, Reader};
 use relstore::{Error, ErrorClass, Result, Row, TimeoutKind, Value};
 use std::io::{Read, Write};
+
+/// Hard upper bound on a single frame's payload, applied on both encode
+/// (before writing to the socket) and decode (before allocating). Large
+/// results stream as row pages well below this.
+pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// The four magic bytes opening every handshake.
 pub const MAGIC: [u8; 4] = *b"RSTW";
@@ -275,20 +281,30 @@ fn get_deadline(r: &mut Reader<'_>) -> Result<Option<u32>> {
 }
 
 fn get_bindings(r: &mut Reader<'_>) -> Result<Vec<Vec<Value>>> {
-    let n = r.u32()? as usize;
     // Each binding costs at least its 2-byte value count, so a hostile
     // count cannot force an allocation larger than the frame itself.
-    if n > r.remaining() / 2 {
-        return Err(Error::net(format!(
-            "truncated frame: binding list claims {n} element(s), {} byte(s) remain",
-            r.remaining()
-        )));
-    }
+    let n = r.u32()?;
+    let n = r.count(n, 2, "binding list")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(r.values()?);
     }
     Ok(out)
+}
+
+/// Decodes one whole frame payload with `body`, which must consume every
+/// byte. The shared codec reports malformed bytes as
+/// [`Error::Corruption`]; on the wire they are a protocol error, so only
+/// that failure is remapped to [`Error::Net`] (a decoded
+/// `Response::Err(Error::Corruption(..))` is data and passes through).
+fn decode_frame<T>(payload: &[u8], body: impl FnOnce(&mut Reader<'_>) -> Result<T>) -> Result<T> {
+    let mut r = Reader::new(payload);
+    body(&mut r)
+        .and_then(|decoded| r.expect_end().map(|()| decoded))
+        .map_err(|e| match e {
+            Error::Corruption(msg) => Error::Net(msg),
+            e => e,
+        })
 }
 
 // --- request / response frames -----------------------------------------------
@@ -355,39 +371,38 @@ impl Request {
 
     /// Decodes one frame payload into a request.
     pub fn decode(payload: &[u8]) -> Result<Request> {
-        let mut r = Reader::new(payload);
-        let req = match r.u8()? {
-            1 => Request::Prepare {
-                sql: r.str()?.to_string(),
-            },
-            2 => Request::Execute {
-                stmt: get_stmt(&mut r)?,
-                params: r.values()?,
-                deadline_ms: get_deadline(&mut r)?,
-            },
-            3 => Request::Query {
-                stmt: get_stmt(&mut r)?,
-                params: r.values()?,
-                deadline_ms: get_deadline(&mut r)?,
-            },
-            4 => Request::ExecuteBatch {
-                stmt: get_stmt(&mut r)?,
-                bindings: get_bindings(&mut r)?,
-                deadline_ms: get_deadline(&mut r)?,
-            },
-            5 => Request::QueryBatch {
-                stmt: get_stmt(&mut r)?,
-                bindings: get_bindings(&mut r)?,
-                deadline_ms: get_deadline(&mut r)?,
-            },
-            6 => Request::Begin,
-            7 => Request::Commit,
-            8 => Request::Rollback,
-            9 => Request::CloseStmt { id: r.u32()? },
-            op => return Err(Error::net(format!("unknown request opcode {op}"))),
-        };
-        r.expect_end()?;
-        Ok(req)
+        decode_frame(payload, |r| {
+            Ok(match r.u8()? {
+                1 => Request::Prepare {
+                    sql: r.str()?.to_string(),
+                },
+                2 => Request::Execute {
+                    stmt: get_stmt(r)?,
+                    params: r.values()?,
+                    deadline_ms: get_deadline(r)?,
+                },
+                3 => Request::Query {
+                    stmt: get_stmt(r)?,
+                    params: r.values()?,
+                    deadline_ms: get_deadline(r)?,
+                },
+                4 => Request::ExecuteBatch {
+                    stmt: get_stmt(r)?,
+                    bindings: get_bindings(r)?,
+                    deadline_ms: get_deadline(r)?,
+                },
+                5 => Request::QueryBatch {
+                    stmt: get_stmt(r)?,
+                    bindings: get_bindings(r)?,
+                    deadline_ms: get_deadline(r)?,
+                },
+                6 => Request::Begin,
+                7 => Request::Commit,
+                8 => Request::Rollback,
+                9 => Request::CloseStmt { id: r.u32()? },
+                op => return Err(Error::net(format!("unknown request opcode {op}"))),
+            })
+        })
     }
 }
 
@@ -433,63 +448,53 @@ impl Response {
 
     /// Decodes one frame payload into a response.
     pub fn decode(payload: &[u8]) -> Result<Response> {
-        let mut r = Reader::new(payload);
-        let resp = match r.u8()? {
-            1 => Response::Prepared {
-                id: r.u32()?,
-                params: r.u16()?,
-            },
-            2 => Response::Affected(r.u64()?),
-            3 => Response::Ack {
-                txn_open: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    b => return Err(Error::net(format!("invalid txn-open byte {b}"))),
+        decode_frame(payload, |r| {
+            Ok(match r.u8()? {
+                1 => Response::Prepared {
+                    id: r.u32()?,
+                    params: r.u16()?,
                 },
-            },
-            4 => {
-                let n = r.u16()? as usize;
-                // Each column name costs at least its 4-byte length prefix,
-                // so a hostile count cannot amplify the allocation.
-                if n > r.remaining() / 4 {
-                    return Err(Error::net(format!(
-                        "truncated frame: header claims {n} column(s), {} byte(s) remain",
-                        r.remaining()
-                    )));
+                2 => Response::Affected(r.u64()?),
+                3 => Response::Ack {
+                    txn_open: match r.u8()? {
+                        0 => false,
+                        1 => true,
+                        b => return Err(Error::net(format!("invalid txn-open byte {b}"))),
+                    },
+                },
+                4 => {
+                    // Each column name costs at least its 4-byte length
+                    // prefix, so a hostile count cannot amplify the
+                    // allocation.
+                    let n = r.u16()?;
+                    let n = r.count(n, 4, "header column list")?;
+                    let mut columns = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        columns.push(r.str()?.to_string());
+                    }
+                    Response::RowsHeader { columns }
                 }
-                let mut columns = Vec::with_capacity(n);
-                for _ in 0..n {
-                    columns.push(r.str()?.to_string());
+                5 => {
+                    let last = match r.u8()? {
+                        0 => false,
+                        1 => true,
+                        b => return Err(Error::net(format!("invalid last-page byte {b}"))),
+                    };
+                    // A row costs at least its 2-byte value count: bound the
+                    // pre-allocation by the bytes actually present.
+                    let n = r.u32()?;
+                    let n = r.count(n, 2, "row page")?;
+                    let mut rows = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        rows.push(r.row()?);
+                    }
+                    Response::RowPage { rows, last }
                 }
-                Response::RowsHeader { columns }
-            }
-            5 => {
-                let last = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    b => return Err(Error::net(format!("invalid last-page byte {b}"))),
-                };
-                let n = r.u32()? as usize;
-                // A row costs at least its 2-byte value count: bound the
-                // pre-allocation by the bytes actually present.
-                if n > r.remaining() / 2 {
-                    return Err(Error::net(format!(
-                        "truncated frame: page claims {n} row(s), {} byte(s) remain",
-                        r.remaining()
-                    )));
-                }
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rows.push(r.row()?);
-                }
-                Response::RowPage { rows, last }
-            }
-            6 => Response::BatchHeader { count: r.u32()? },
-            7 => Response::Err(get_error(&mut r)?),
-            op => return Err(Error::net(format!("unknown response opcode {op}"))),
-        };
-        r.expect_end()?;
-        Ok(resp)
+                6 => Response::BatchHeader { count: r.u32()? },
+                7 => Response::Err(get_error(r)?),
+                op => return Err(Error::net(format!("unknown response opcode {op}"))),
+            })
+        })
     }
 }
 
@@ -541,18 +546,24 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<u64> {
     Ok(payload.len() as u64 + 4)
 }
 
-/// Reads one frame payload, rejecting empty and oversized length prefixes
-/// before allocating.
-pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len).map_err(io_err)?;
-    let len = u32::from_le_bytes(len) as usize;
+/// Validates a received frame's length prefix before anything is allocated
+/// for it: empty and oversized frames are refused.
+pub(crate) fn frame_len(prefix: [u8; 4]) -> Result<usize> {
+    let len = u32::from_le_bytes(prefix) as usize;
     if len == 0 || len > MAX_FRAME {
         return Err(Error::net(format!(
             "peer announced a frame of {len} byte(s) (limit {MAX_FRAME})"
         )));
     }
-    let mut payload = vec![0u8; len];
+    Ok(len)
+}
+
+/// Reads one frame payload, rejecting empty and oversized length prefixes
+/// before allocating.
+pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>> {
+    let mut len = [0u8; 4];
+    r.read_exact(&mut len).map_err(io_err)?;
+    let mut payload = vec![0u8; frame_len(len)?];
     r.read_exact(&mut payload).map_err(io_err)?;
     Ok(payload)
 }
@@ -577,16 +588,6 @@ pub fn write_hello(w: &mut impl Write) -> Result<()> {
     codec::put_u16(&mut buf, VERSION);
     w.write_all(&buf).map_err(io_err)?;
     w.flush().map_err(io_err)
-}
-
-/// Reads and validates the client hello, returning the client's version.
-pub fn read_hello(r: &mut impl Read) -> Result<u16> {
-    let mut buf = [0u8; 6];
-    r.read_exact(&mut buf).map_err(io_err)?;
-    if buf[..4] != MAGIC {
-        return Err(Error::net("peer did not speak the relstore wire protocol"));
-    }
-    Ok(u16::from_le_bytes([buf[4], buf[5]]))
 }
 
 /// Writes the server's handshake response. Returns the bytes written.
@@ -776,8 +777,9 @@ mod tests {
     fn handshake_round_trips() {
         let mut buf = Vec::new();
         write_hello(&mut buf).unwrap();
-        assert_eq!(read_hello(&mut buf.as_slice()).unwrap(), VERSION);
-        assert!(read_hello(&mut b"XXXXxx".as_slice()).is_err());
+        let hello: [u8; 6] = buf.as_slice().try_into().unwrap();
+        assert_eq!(client_version(&hello).unwrap(), VERSION);
+        assert!(client_version(b"XXXXxx").is_err());
 
         let mut buf = Vec::new();
         write_handshake_response(&mut buf, HandshakeStatus::Ok, "").unwrap();

@@ -673,14 +673,7 @@ fn read_frame_polling(stream: &mut TcpStream, shared: &Shared) -> Result<Option<
     if !read_full(stream, &mut len, shared, true)? {
         return Ok(None);
     }
-    let len = u32::from_le_bytes(len) as usize;
-    if len == 0 || len > crate::codec::MAX_FRAME {
-        return Err(Error::net(format!(
-            "peer announced a frame of {len} byte(s) (limit {})",
-            crate::codec::MAX_FRAME
-        )));
-    }
-    let mut payload = vec![0u8; len];
+    let mut payload = vec![0u8; protocol::frame_len(len)?];
     read_full(stream, &mut payload, shared, false)?;
     Ok(Some(payload))
 }

@@ -1,11 +1,16 @@
-//! Property tests of the wire codec: every [`Value`] shape round-trips
-//! bit-exactly, and hostile bytes — truncations, oversized length prefixes,
-//! flipped tags — are rejected with a clean [`Error::Net`], never a panic.
+//! Property tests of the wire protocol over the shared codec
+//! (`relstore::io::codec`, which the WAL writes too): every [`Value`] shape
+//! round-trips bit-exactly, and hostile bytes — truncations, oversized
+//! length prefixes, flipped tags — are rejected cleanly, never with a
+//! panic. The codec reports malformed bytes as [`Error::Corruption`]; a
+//! frame decoder reports them as [`Error::Net`].
 
 use proptest::prelude::*;
+use relstore::io::codec::{put_value, put_values, Reader};
 use relstore::{Error, Row, Value};
-use wire::codec::{put_value, put_values, Reader, MAX_FRAME};
-use wire::protocol::{encode_row_page, read_frame, write_frame, Request, Response, StmtRef};
+use wire::protocol::{
+    encode_row_page, read_frame, write_frame, Request, Response, StmtRef, MAX_FRAME,
+};
 
 /// Every value shape the engine stores, biased toward the encodings most
 /// likely to break a codec: NULL, extreme and negative integers, doubles by
@@ -55,10 +60,19 @@ proptest! {
     fn codec_truncated_values_error_cleanly(value in value_strategy(), cut_seed in 0..10_000usize) {
         let mut buf = Vec::new();
         put_value(&mut buf, &value);
-        // Every strict prefix must fail with Error::Net — and never panic.
+        // Every strict prefix must fail with the codec's Error::Corruption
+        // — and never panic...
         let cut = cut_seed % buf.len();
         let err = Reader::new(&buf[..cut]).value().unwrap_err();
-        prop_assert!(matches!(err, Error::Net(_)), "prefix {} gave {:?}", cut, err);
+        prop_assert!(matches!(err, Error::Corruption(_)), "prefix {} gave {:?}", cut, err);
+        // ...and a frame cut at the same point inside that value fails with
+        // Error::Net. The value starts after the opcode, the statement
+        // handle and the value count, and only the deadline byte follows it.
+        let frame = Request::Execute { stmt: StmtRef::Id(0), params: vec![value], deadline_ms: None }
+            .encode();
+        let value_start = frame.len() - buf.len() - 1;
+        let err = Request::decode(&frame[..value_start + cut]).unwrap_err();
+        prop_assert!(matches!(err, Error::Net(_)), "frame prefix {} gave {:?}", cut, err);
     }
 
     #[test]
@@ -115,9 +129,13 @@ proptest! {
     fn codec_never_panics_on_arbitrary_bytes(bytes in prop::collection::vec(0..=u8::MAX, 0..64)) {
         // Whatever a hostile peer sends, decoding returns — Ok for the rare
         // valid encoding, Err otherwise — without panicking or allocating
-        // unboundedly.
-        let _ = Request::decode(&bytes);
-        let _ = Response::decode(&bytes);
+        // unboundedly. Every decode failure is a protocol error.
+        if let Err(e) = Request::decode(&bytes) {
+            prop_assert!(matches!(e, Error::Net(_)), "request decode gave {:?}", e);
+        }
+        if let Err(e) = Response::decode(&bytes) {
+            prop_assert!(matches!(e, Error::Net(_)), "response decode gave {:?}", e);
+        }
         let mut reader = Reader::new(&bytes);
         let _ = reader.values();
         let _ = read_frame(&mut bytes.as_slice());

@@ -724,3 +724,48 @@ fn embedded_and_tcp_transaction_control_agree() {
     assert_eq!(embedded.table_len("parity").unwrap(), 2);
     server.shutdown();
 }
+
+/// A frame the server cannot decode is a protocol error: the peer gets
+/// exactly one `Error::Net` response, then the server closes the
+/// connection. The shared codec reports malformed bytes as corruption, so
+/// this checks the frame decoder turns that into a network error.
+#[test]
+fn undecodable_frames_get_one_net_error_then_eof() {
+    use std::io::Read;
+
+    let db = Arc::new(Database::new());
+    let server = serve(Arc::clone(&db), "127.0.0.1:0").unwrap();
+    let mut truncated_execute = wire::Request::Execute {
+        stmt: wire::StmtRef::Sql("SELECT ?".into()),
+        params: vec![Value::from("a parameter cut short")],
+        deadline_ms: None,
+    }
+    .encode();
+    truncated_execute.truncate(truncated_execute.len() - 6);
+
+    for (what, payload) in [
+        ("unknown opcode", vec![0xee, 1, 2, 3]),
+        ("truncated Execute", truncated_execute),
+    ] {
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        wire::protocol::write_hello(&mut raw).unwrap();
+        wire::protocol::read_handshake_response(&mut raw).unwrap();
+        wire::protocol::write_frame(&mut raw, &payload).unwrap();
+
+        let resp = wire::protocol::read_frame(&mut raw).unwrap();
+        match wire::Response::decode(&resp).unwrap() {
+            wire::Response::Err(Error::Net(_)) => {}
+            other => panic!("{what}: expected one Error::Net response, got {other:?}"),
+        }
+        let mut rest = Vec::new();
+        raw.read_to_end(&mut rest).unwrap();
+        assert!(
+            rest.is_empty(),
+            "{what}: {} byte(s) after the error frame",
+            rest.len()
+        );
+    }
+    server.shutdown();
+}
